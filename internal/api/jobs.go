@@ -25,26 +25,62 @@ import (
 // subsystem", documents the state machine and resume semantics.
 
 // NormalizeJobRequest is the jobs.Normalizer of the sweep service: it
-// strictly decodes a /v1/sweep request body, validates it by expanding
+// strictly decodes a /v1/sweep request body, validates it by planning
 // the grid (filling the documented defaults in place), and returns the
 // canonical request bytes — the job's content key — plus the grid
 // size. Two submissions that decode to the same normalized request
 // canonicalize identically and therefore dedupe to the same job id.
+// It builds no grid point.
 func (s *Service) NormalizeJobRequest(request []byte) ([]byte, int, error) {
-	var req SweepRequest
-	if err := decodeStrict(bytes.NewReader(request), &req); err != nil {
-		return nil, 0, err
-	}
-	points, err := s.expand(&req) // validates and fills defaults
+	canonical, pl, err := s.normalize(request)
 	if err != nil {
 		return nil, 0, err
 	}
+	return canonical, pl.total, nil
+}
+
+// NormalizedSweep is a sweep request body made ready for fan-out by
+// one grid expansion.
+type NormalizedSweep struct {
+	// Canonical is the canonical request: the job content key, and the
+	// body a fabric coordinator dispatches to its workers.
+	Canonical []byte
+	// Request is the normalized request Canonical encodes.
+	Request SweepRequest
+	// Keys is the canonical content key of every grid point, in grid
+	// order (as PointKeys returns them).
+	Keys []string
+}
+
+// NormalizeSweep is NormalizeJobRequest plus the grid's point keys,
+// from one plan of the grid: what a fabric coordinator needs to
+// partition and dispatch a sweep.
+func (s *Service) NormalizeSweep(request []byte) (NormalizedSweep, error) {
+	canonical, pl, err := s.normalize(request)
+	if err != nil {
+		return NormalizedSweep{}, err
+	}
+	return NormalizedSweep{Canonical: canonical, Request: *pl.req, Keys: pl.keys()}, nil
+}
+
+// normalize strictly decodes and plans a sweep request body and
+// returns its canonical bytes with the plan.
+func (s *Service) normalize(request []byte) ([]byte, *sweepPlan, error) {
+	var req SweepRequest
+	if err := decodeStrict(bytes.NewReader(request), &req); err != nil {
+		return nil, nil, err
+	}
+	pl, err := s.plan(&req) // validates and fills defaults
+	if err != nil {
+		return nil, nil, err
+	}
 	// Collapse the scenario's enum aliases onto their omitted-field
-	// spellings (expand already validated them): "Base" is the default
+	// spellings (plan already validated them): "Base" is the default
 	// scenario, "fast" the default backend (the axis it feeds is frozen
 	// into req.Backends above), "exponential" the default law. Numeric
 	// overrides spelled at their table values are NOT collapsed — that
-	// equivalence would couple the key to the scenario tables.
+	// equivalence would couple the key to the scenario tables. No
+	// point key reads these fields, so the plan stays valid.
 	if req.Scenario.Name == "Base" {
 		req.Scenario.Name = ""
 	}
@@ -56,9 +92,9 @@ func (s *Service) NormalizeJobRequest(request []byte) ([]byte, int, error) {
 	}
 	canonical, err := json.Marshal(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return canonical, len(points), nil
+	return canonical, pl, nil
 }
 
 // JobExecutor is the jobs.Executor of the sweep service: it replays
@@ -108,7 +144,7 @@ func writeJobError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "5")
 		status = http.StatusServiceUnavailable
 	}
-	writeError(w, status, err)
+	WriteError(w, status, err)
 }
 
 // jobsManager returns the attached manager, answering 503 with a
@@ -120,7 +156,7 @@ func (s *Service) jobsManager(w http.ResponseWriter) *jobs.Manager {
 	mgr := s.Jobs()
 	if mgr == nil {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			errors.New("api: no job manager attached (standby, or jobs disabled)"))
 	}
 	return mgr
@@ -133,7 +169,7 @@ func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	body := new(bytes.Buffer)
 	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	meta, created, err := mgr.Submit(body.Bytes())
@@ -144,7 +180,7 @@ func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if created {
 		w.WriteHeader(http.StatusAccepted)
 	}
-	writeJSON(w, meta)
+	WriteJSON(w, meta)
 }
 
 func (s *Service) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -156,7 +192,7 @@ func (s *Service) handleJobList(w http.ResponseWriter, r *http.Request) {
 	if metas == nil {
 		metas = []jobs.Meta{} // "jobs": [] rather than null
 	}
-	writeJSON(w, jobListResponse{Jobs: metas})
+	WriteJSON(w, jobListResponse{Jobs: metas})
 }
 
 func (s *Service) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -169,7 +205,7 @@ func (s *Service) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeJobError(w, err)
 		return
 	}
-	writeJSON(w, meta)
+	WriteJSON(w, meta)
 }
 
 // handleJobDelete cancels an active job; a terminal job is removed
@@ -195,7 +231,7 @@ func (s *Service) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		writeJobError(w, err)
 		return
 	}
-	writeJSON(w, meta)
+	WriteJSON(w, meta)
 }
 
 // handleJobResults streams the job's NDJSON results from line
@@ -213,7 +249,7 @@ func (s *Service) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("offset"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("api: offset %q must be a non-negative integer", q))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("api: offset %q must be a non-negative integer", q))
 			return
 		}
 		offset = n

@@ -54,19 +54,22 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
+// WriteError writes err as the {"error": ...} envelope with the given
+// status. The fabric coordinator's handlers answer through it too, so
+// every node speaks one error shape.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
 }
 
-// writeJSON marshals v before touching the ResponseWriter, so an
+// WriteJSON marshals v before touching the ResponseWriter, so an
 // encoding failure becomes a 500 error body instead of a silent empty
 // 200.
-func writeJSON(w http.ResponseWriter, v any) {
+func WriteJSON(w http.ResponseWriter, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -97,20 +100,20 @@ func decodeStrict(r io.Reader, v any) error {
 func handlePoint[T any](eval func(PointRequest) (T, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, errors.New("use POST with a JSON body"))
+			WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST with a JSON body"))
 			return
 		}
 		var req PointRequest
 		if err := decodeRequest(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		resp, err := eval(req)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, resp)
+		WriteJSON(w, resp)
 	}
 }
 
@@ -119,12 +122,13 @@ type sweepResponse struct {
 	Items []SweepItem `json:"items"`
 }
 
-// rangeParams parses the optional ?offset=&limit= query parameters
+// RangeParams parses the optional ?offset=&limit= query parameters
 // selecting a contiguous sub-range of the sweep grid — the wire format
-// the fabric coordinator uses to dispatch point ranges to workers.
-// Absent parameters select the whole grid (offset 0, limit -1), so the
-// historical /v1/sweep surface is unchanged.
-func rangeParams(r *http.Request) (offset, limit int, err error) {
+// the fabric coordinator uses to dispatch point ranges to workers, and
+// parses itself so that a coordinator can be dispatched to as a worker
+// tier. Absent parameters select the whole grid (offset 0, limit -1),
+// so the historical /v1/sweep surface is unchanged.
+func RangeParams(r *http.Request) (offset, limit int, err error) {
 	offset, limit = 0, -1
 	if q := r.URL.Query().Get("offset"); q != "" {
 		if offset, err = strconv.Atoi(q); err != nil || offset < 0 {
@@ -141,17 +145,17 @@ func rangeParams(r *http.Request) (offset, limit int, err error) {
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST with a JSON body"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST with a JSON body"))
 		return
 	}
-	offset, limit, err := rangeParams(r)
+	offset, limit, err := RangeParams(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var req SweepRequest
 	if err := decodeRequest(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if r.Header.Get("Accept") == NDJSONContentType {
@@ -164,11 +168,11 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	setSweepHeaders(w.Header(), stats)
-	writeJSON(w, sweepResponse{Items: items})
+	WriteJSON(w, sweepResponse{Items: items})
 }
 
 // streamSweep writes one SweepItem per NDJSON line, flushing as points
@@ -215,7 +219,7 @@ func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, req SweepR
 	})
 	if err != nil {
 		if !wrote {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		// Mid-stream failure: the status line is already sent, so the
@@ -248,7 +252,7 @@ type healthResponse struct {
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 	hits, misses := s.cache.Stats()
-	writeJSON(w, healthResponse{
+	WriteJSON(w, healthResponse{
 		OK:          true,
 		CacheLen:    s.cache.Len(),
 		CacheHits:   hits,
@@ -298,7 +302,7 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 func WriteReady(w http.ResponseWriter, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -138,7 +138,7 @@ type SweepStats struct {
 	CacheMisses int
 }
 
-// sweepPoint is one expanded grid point awaiting evaluation.
+// sweepPoint is one materialised grid point awaiting evaluation.
 type sweepPoint struct {
 	eng     engine.Engine
 	req     engine.Request
@@ -153,10 +153,33 @@ type sweepPoint struct {
 // PhiFracs empty.
 var defaultPhiFracs = []float64{0, 0.25, 0.5, 0.75, 1}
 
-// expand validates the request, fills its defaults in place (callers
-// rely on the normalized Runs), and returns the grid in deterministic
-// order: backends × protocols × phiFracs × mtbfs.
-func (s *Service) expand(req *SweepRequest) ([]sweepPoint, error) {
+// sweepPlan is a validated sweep grid: its axes and grid-wide settings
+// resolved once, no point materialised. Grid order is backends ×
+// protocols × phiFracs × mtbfs (MTBF innermost), so a point's index is
+// a mixed-radix number over the axis lengths and the points of any
+// range [from, to) are built in O(to − from), whatever the grid size.
+type sweepPlan struct {
+	req       *SweepRequest // normalized in place by plan
+	engines   []engine.Engine
+	protocols []core.Protocol
+	phiFracs  []float64
+	// params and laws hold the platform and its failure law at each
+	// MTBF axis value. Laws are resolved at every MTBF up front, so a
+	// law that is bad anywhere on the axis fails the whole request,
+	// whatever range of it is asked for.
+	params  []core.Params
+	laws    []failure.Law
+	corr    *failure.Correlation
+	trace   *failure.Trace
+	traceID string
+	seeds   *rng.Stream // the base stream per-point seeds split from
+	total   int
+}
+
+// plan validates the request, fills its defaults in place (callers
+// rely on the normalized Runs, and jobs key on the normalized request)
+// and resolves the grid's axes.
+func (s *Service) plan(req *SweepRequest) (*sweepPlan, error) {
 	base, err := req.Scenario.Resolve()
 	if err != nil {
 		return nil, err
@@ -219,8 +242,8 @@ func (s *Service) expand(req *SweepRequest) ([]sweepPoint, error) {
 			return nil, errors.New("api: correlated failures (domains/groups) are not supported by the multilevel backend")
 		}
 	}
-	// Validate the law shape once up front; the per-point law is
-	// re-resolved at each MTBF axis point below.
+	// Validate the law shape once up front; the law is then resolved at
+	// each MTBF axis value below.
 	if _, err := req.Scenario.ResolveLaw(base); err != nil {
 		return nil, err
 	}
@@ -310,67 +333,102 @@ func (s *Service) expand(req *SweepRequest) ([]sweepPoint, error) {
 	req.PhiFracs = append([]float64(nil), phiFracs...)
 	req.MTBFs = append([]float64(nil), mtbfs...)
 
-	baseStream := rng.New(req.Seed)
-	points := make([]sweepPoint, 0, total)
-	for _, eng := range engines {
-		for _, pr := range protocols {
-			for _, frac := range phiFracs {
-				for _, m := range mtbfs {
-					p := base.WithMTBF(m)
-					// Canonicalize φ before keying: DoubleBlocking pins
-					// φ = R whatever the request asks, so its grid points
-					// collapse to one cache entry (and one simulation) per
-					// MTBF, and the cached item's content is fully
-					// determined by the key.
-					phi := core.EffectivePhi(pr, p, frac*p.R)
-					law, lerr := req.Scenario.ResolveLaw(p)
-					if lerr != nil {
-						return nil, lerr
-					}
-					preq := engine.Request{
-						Protocol: pr,
-						Params:   p,
-						Phi:      phi,
-						Period:   req.Period,
-						Tbase:    req.Tbase,
-						Law:      law,
-					}
-					// Backend-specific knobs are threaded only into the
-					// backend that reads them, so a fast point's key never
-					// varies with, say, an irrelevant imageBytes override.
-					switch eng.Name() {
-					case "fast":
-						preq.Correlation = corr
-					case "detailed":
-						// Normalized before keying: a spelled-out default
-						// and an omitted field are the same physical point
-						// (same key, same derived seed, same cache entry).
-						preq.Spares, preq.ImageBytes = engine.NormalizeSubstrate(
-							p, req.Scenario.Spares, req.Scenario.ImageBytes)
-						preq.Correlation = corr
-						preq.Trace, preq.TraceID = trace, traceID
-					case "multilevel":
-						g := req.Scenario.Global
-						preq.Global = &engine.Global{G: g.G, Rg: g.Rg, K: g.K}
-					}
-					key := pointKey(eng.Name(), preq, req.Runs, req.Seed, req.precision())
-					// The per-point seed depends only on the canonical key,
-					// never on the grid position, so overlapping sweeps
-					// resolve the same point to the same sample (and the
-					// same cache entry).
-					seed := baseStream.Split(fnv64(key)).Uint64()
-					points = append(points, sweepPoint{
-						eng:     eng,
-						req:     preq,
-						seed:    seed,
-						phiFrac: phi / p.R,
-						backend: backendLabel(eng),
-						law:     lawLabel(law),
-						key:     key,
-					})
-				}
-			}
+	pl := &sweepPlan{
+		req:       req,
+		engines:   engines,
+		protocols: protocols,
+		phiFracs:  req.PhiFracs,
+		params:    make([]core.Params, len(mtbfs)),
+		laws:      make([]failure.Law, len(mtbfs)),
+		corr:      corr,
+		trace:     trace,
+		traceID:   traceID,
+		seeds:     rng.New(req.Seed),
+		total:     total,
+	}
+	for i, m := range mtbfs {
+		pl.params[i] = base.WithMTBF(m)
+		if pl.laws[i], err = req.Scenario.ResolveLaw(pl.params[i]); err != nil {
+			return nil, err
 		}
+	}
+	return pl, nil
+}
+
+// point materialises grid point i: its engine request, canonical key,
+// derived seed and item labels.
+func (pl *sweepPlan) point(i int) sweepPoint {
+	nm, nf, np := len(pl.params), len(pl.phiFracs), len(pl.protocols)
+	m := i % nm
+	i /= nm
+	frac := pl.phiFracs[i%nf]
+	i /= nf
+	pr := pl.protocols[i%np]
+	eng := pl.engines[i/np]
+
+	p, law := pl.params[m], pl.laws[m]
+	// Canonicalize φ before keying: DoubleBlocking pins φ = R whatever
+	// the request asks, so its grid points collapse to one cache entry
+	// (and one simulation) per MTBF, and the cached item's content is
+	// fully determined by the key.
+	phi := core.EffectivePhi(pr, p, frac*p.R)
+	req := pl.req
+	preq := engine.Request{
+		Protocol: pr,
+		Params:   p,
+		Phi:      phi,
+		Period:   req.Period,
+		Tbase:    req.Tbase,
+		Law:      law,
+	}
+	// Backend-specific knobs are threaded only into the backend that
+	// reads them, so a fast point's key never varies with, say, an
+	// irrelevant imageBytes override.
+	switch eng.Name() {
+	case "fast":
+		preq.Correlation = pl.corr
+	case "detailed":
+		// Normalized before keying: a spelled-out default and an omitted
+		// field are the same physical point (same key, same derived
+		// seed, same cache entry).
+		preq.Spares, preq.ImageBytes = engine.NormalizeSubstrate(
+			p, req.Scenario.Spares, req.Scenario.ImageBytes)
+		preq.Correlation = pl.corr
+		preq.Trace, preq.TraceID = pl.trace, pl.traceID
+	case "multilevel":
+		g := req.Scenario.Global
+		preq.Global = &engine.Global{G: g.G, Rg: g.Rg, K: g.K}
+	}
+	key := pointKey(eng.Name(), preq, req.Runs, req.Seed, req.precision())
+	// The per-point seed depends only on the canonical key, never on the
+	// grid position, so overlapping sweeps resolve the same point to the
+	// same sample (and the same cache entry).
+	var seed rng.Stream
+	seed.ReseedSplit(pl.seeds, fnv64(key))
+	return sweepPoint{
+		eng:     eng,
+		req:     preq,
+		seed:    seed.Uint64(),
+		phiFrac: phi / p.R,
+		backend: backendLabel(eng),
+		law:     lawLabel(law),
+		key:     key,
+	}
+}
+
+// span materialises the grid range [offset, offset+limit); limit < 0,
+// or a limit overshooting the grid, runs to the grid's end.
+func (pl *sweepPlan) span(offset, limit int) ([]sweepPoint, error) {
+	if offset < 0 || offset > pl.total {
+		return nil, fmt.Errorf("api: resume offset %d outside the %d-point grid", offset, pl.total)
+	}
+	n := pl.total - offset
+	if limit >= 0 && limit < n {
+		n = limit
+	}
+	points := make([]sweepPoint, n)
+	for i := range points {
+		points[i] = pl.point(offset + i)
 	}
 	return points, nil
 }
@@ -598,42 +656,47 @@ func (s *Service) SweepStreamRange(ctx context.Context, req SweepRequest, offset
 	return s.sweepRange(ctx, req, offset, limit, pr, nil, emit)
 }
 
-// PointKeys expands the request and returns the canonical content key
-// of every grid point, in grid order. The keys are what the fabric
-// coordinator partitions across workers: a point's key (and therefore
-// its derived seed and its evaluated bytes) is independent of the grid
-// position and of which node evaluates it.
+// PointKeys returns the canonical content key of every grid point of
+// the request, in grid order. The keys are what the fabric coordinator
+// partitions across workers: a point's key (and therefore its derived
+// seed and its evaluated bytes) is independent of the grid position
+// and of which node evaluates it.
 func (s *Service) PointKeys(req SweepRequest) ([]string, error) {
-	points, err := s.expand(&req)
+	pl, err := s.plan(&req)
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(points))
-	for i, pt := range points {
-		keys[i] = pt.key
+	return pl.keys(), nil
+}
+
+// keys materialises every point of the plan for its key.
+func (pl *sweepPlan) keys() []string {
+	keys := make([]string, pl.total)
+	for i := range keys {
+		keys[i] = pl.point(i).key
 	}
-	return keys, nil
+	return keys
 }
 
 // sweepRange is the shared range executor behind SweepStreamFrom
-// (limit < 0) and SweepStreamRange.
+// (limit < 0) and SweepStreamRange. It plans the grid and materialises
+// only the requested range, so a worker serving one range of a large
+// grid — or a job resuming near its end — pays for that range, not for
+// the grid.
 func (s *Service) sweepRange(ctx context.Context, req SweepRequest, offset, limit int, pr jobs.Priority, onExpand func(total int) error, emit func(SweepItem) error) (SweepStats, error) {
-	points, err := s.expand(&req) // normalizes req.Runs for the evaluations below
+	pl, err := s.plan(&req) // normalizes req.Runs for the evaluations below
 	if err != nil {
 		return SweepStats{}, err
 	}
-	stats := SweepStats{Points: len(points)}
+	stats := SweepStats{Points: pl.total}
 	if onExpand != nil {
-		if err := onExpand(len(points)); err != nil {
+		if err := onExpand(pl.total); err != nil {
 			return stats, err
 		}
 	}
-	if offset < 0 || offset > len(points) {
-		return stats, fmt.Errorf("api: resume offset %d outside the %d-point grid", offset, len(points))
-	}
-	points = points[offset:]
-	if limit >= 0 && limit < len(points) {
-		points = points[:limit]
+	points, err := pl.span(offset, limit)
+	if err != nil {
+		return stats, err
 	}
 
 	ctx, cancel := context.WithCancel(ctx)

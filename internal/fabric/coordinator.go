@@ -466,27 +466,25 @@ func (c *Coordinator) Executor() jobs.Executor {
 // api.Service.SweepStreamFrom and satisfies the same executor
 // contract.
 func (c *Coordinator) SweepStreamFrom(ctx context.Context, request []byte, offset int, start func(total int) error, emit func(line []byte) error) error {
-	var req api.SweepRequest
-	if err := json.Unmarshal(request, &req); err != nil {
-		return fmt.Errorf("fabric: decoding request: %w", err)
-	}
-	keys, err := c.cfg.Service.PointKeys(req)
+	sweep, err := c.cfg.Service.NormalizeSweep(request)
 	if err != nil {
 		return err
 	}
+	total := len(sweep.Keys)
 	if start != nil {
-		if err := start(len(keys)); err != nil {
+		if err := start(total); err != nil {
 			return err
 		}
 	}
-	if offset < 0 || offset > len(keys) {
-		return fmt.Errorf("fabric: resume offset %d outside the %d-point grid", offset, len(keys))
+	if offset < 0 || offset > total {
+		return fmt.Errorf("fabric: resume offset %d outside the %d-point grid", offset, total)
 	}
-	return c.run(ctx, request, keys, offset, len(keys), emit)
+	return c.run(ctx, sweep, offset, total, emit)
 }
 
-// run dispatches grid points [from, to) and merges their lines.
-func (c *Coordinator) run(ctx context.Context, request []byte, keys []string, from, to int, emit func(line []byte) error) error {
+// run dispatches grid points [from, to) of the normalized sweep and
+// merges their lines.
+func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, to int, emit func(line []byte) error) error {
 	if from >= to {
 		return nil
 	}
@@ -496,7 +494,7 @@ func (c *Coordinator) run(ctx context.Context, request []byte, keys []string, fr
 	m := NewMerger(from, to, emit)
 	s := &sched{cancel: cancel}
 	s.cond = sync.NewCond(&s.mu)
-	for _, rg := range c.ring.Ranges(keys[from:to], from) {
+	for _, rg := range c.ring.Ranges(sweep.Keys[from:to], from) {
 		t := &task{start: rg.Start, end: rg.Start + rg.Count, owner: rg.Worker, lastWorker: -1, progress: time.Now()}
 		s.tasks = append(s.tasks, t)
 		s.pending = append(s.pending, t)
@@ -524,19 +522,14 @@ func (c *Coordinator) run(ctx context.Context, request []byte, keys []string, fr
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c.workerLoop(ctx, s, m, request, w)
+			c.workerLoop(ctx, s, m, sweep.Canonical, w)
 		}(w)
 	}
 	if !c.cfg.DisableLocalFallback {
-		var req api.SweepRequest
-		if err := json.Unmarshal(request, &req); err != nil {
-			cancel()
-			return fmt.Errorf("fabric: decoding request: %w", err)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.localLoop(ctx, s, m, req)
+			c.localLoop(ctx, s, m, sweep.Request)
 		}()
 	}
 	wg.Wait()
@@ -761,8 +754,24 @@ func (c *Coordinator) dispatch(ctx context.Context, s *sched, m *Merger, request
 		default:
 		}
 	}
+	// Read on to EOF — past the chunk terminator and the stats trailers
+	// — so the transport can pool the connection: a body closed before
+	// EOF takes its connection down with it, and the next dispatch to
+	// this worker dials again. The drain is bounded in bytes and in
+	// time, so a worker that hangs after its last line costs the sweep
+	// drainWait, not a lease. Its error is moot: the range is delivered.
+	drain := time.AfterFunc(drainWait, cancel)
+	io.Copy(io.Discard, io.LimitReader(br, drainBytes))
+	drain.Stop()
 	return true, nil
 }
+
+// drainWait and drainBytes bound the read-to-EOF after a dispatch's
+// last line; a healthy worker sends only its trailers by then.
+const (
+	drainWait  = 200 * time.Millisecond
+	drainBytes = 4 << 10
+)
 
 // watchdog cancels the dispatch when no line lands within the lease.
 // Every delivered line renews it.

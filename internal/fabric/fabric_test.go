@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -37,6 +39,9 @@ type fault struct {
 	// coordinator gives up (the partition case: the lease watchdog is
 	// the only way out).
 	hang bool
+	// stall holds each sweep response open after its last line — no
+	// chunk terminator, no trailers — until the coordinator gives up.
+	stall bool
 }
 
 func (f *fault) middleware(inner http.Handler) http.Handler {
@@ -46,7 +51,7 @@ func (f *fault) middleware(inner http.Handler) http.Handler {
 			return
 		}
 		f.mu.Lock()
-		cut, hang := f.cutAfter, f.hang
+		cut, hang, stall := f.cutAfter, f.hang, f.stall
 		f.mu.Unlock()
 		if hang {
 			// Drain the body first: net/http only watches for client
@@ -61,6 +66,12 @@ func (f *fault) middleware(inner http.Handler) http.Handler {
 			w = &cutoffWriter{ResponseWriter: w, remaining: cut}
 		}
 		inner.ServeHTTP(w, r)
+		if stall {
+			// As for hang: a consumed body lets net/http see the abort.
+			io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+			panic(http.ErrAbortHandler)
+		}
 	})
 }
 
@@ -436,5 +447,69 @@ func TestFabricBadRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid request got status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFabricDispatchReusesConnections: a dispatch reads its response
+// to EOF, so the transport pools the connection and every later
+// dispatch to that worker reuses it. Each worker loop has at most one
+// dispatch in flight, so over several sweeps each worker is dialled at
+// most once.
+func TestFabricDispatchReusesConnections(t *testing.T) {
+	var mu sync.Mutex
+	dials := map[string]int{}
+	tr := DefaultTransport()
+	dial := tr.DialContext
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		mu.Lock()
+		dials[addr]++
+		mu.Unlock()
+		return dial(ctx, network, addr)
+	}
+	defer tr.CloseIdleConnections()
+	coord, _ := newFleet(t, 3, Config{Client: &http.Client{Transport: tr}})
+	dispatched := 0
+	for seed := 1; seed <= 4; seed++ {
+		body := fmt.Sprintf(`{"scenario":{"mtbf":1800},"tbase":10000,"runs":2,"seed":%d}`, seed)
+		canonical, want := singleNodeLines(t, body)
+		requireIdentical(t, collectDistributed(t, coord, canonical, 0), want)
+		sweep, err := coord.cfg.Service.NormalizeSweep(canonical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dispatched += len(coord.ring.Ranges(sweep.Keys, 0))
+	}
+	if dispatched < 4*3 {
+		t.Fatalf("only %d ranges over 4 sweeps: too few to show reuse", dispatched)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	total := 0
+	for addr, n := range dials {
+		total += n
+		if n > 1 {
+			t.Errorf("worker %s dialled %d times over %d dispatches", addr, n, dispatched)
+		}
+	}
+	if total > 3 {
+		t.Errorf("%d dials for 3 workers", total)
+	}
+}
+
+// TestFabricStalledTrailerCostsNoLease: every worker delivers its lines
+// and then holds the response open. The coordinator's read-to-EOF after
+// the last line gives up after its own short bound, so the sweep
+// finishes byte-identical and well inside one lease.
+func TestFabricStalledTrailerCostsNoLease(t *testing.T) {
+	canonical, want := singleNodeLines(t, sweepBody)
+	const lease = 10 * time.Second
+	coord, faults := newFleet(t, 3, Config{Lease: lease})
+	for _, f := range faults {
+		f.stall = true
+	}
+	start := time.Now()
+	requireIdentical(t, collectDistributed(t, coord, canonical, 0), want)
+	if elapsed := time.Since(start); elapsed > lease/2 {
+		t.Fatalf("sweep took %v against stalled trailers (lease %v)", elapsed, lease)
 	}
 }

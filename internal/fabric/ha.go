@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/jobs"
 )
 
@@ -486,7 +487,7 @@ func (h *HA) Handler(inner http.Handler) http.Handler {
 		}
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			api.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

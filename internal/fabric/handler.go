@@ -45,29 +45,30 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 // the merge invariants, the same response bytes a single node produces.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST with a JSON body"))
+		api.WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST with a JSON body"))
 		return
 	}
-	offset, limit, err := rangeParams(r)
+	offset, limit, err := api.RangeParams(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	body := new(bytes.Buffer)
 	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	// Normalizing first means the byte payload dispatched to every
 	// worker is the canonical request, so worker-side grid expansion
 	// and point keys are exactly the coordinator's.
-	canonical, total, err := c.cfg.Service.NormalizeJobRequest(body.Bytes())
+	sweep, err := c.cfg.Service.NormalizeSweep(body.Bytes())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
+	total := len(sweep.Keys)
 	if offset > total {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: offset %d outside the %d-point grid", offset, total))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: offset %d outside the %d-point grid", offset, total))
 		return
 	}
 	end := total
@@ -75,23 +76,12 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		end = offset + limit
 	}
 
-	var req api.SweepRequest
-	if err := json.Unmarshal(canonical, &req); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	keys, err := c.cfg.Service.PointKeys(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
 	if r.Header.Get("Accept") == api.NDJSONContentType {
-		c.streamSweep(w, r, canonical, keys, offset, end)
+		c.streamSweep(w, r, sweep, offset, end)
 		return
 	}
 	items := make([]api.SweepItem, 0, end-offset)
-	err = c.run(r.Context(), canonical, keys, offset, end, func(line []byte) error {
+	err = c.run(r.Context(), sweep, offset, end, func(line []byte) error {
 		var item api.SweepItem
 		if err := json.Unmarshal(line, &item); err != nil {
 			return fmt.Errorf("fabric: worker line undecodable: %w", err)
@@ -100,11 +90,11 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		api.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	w.Header().Set(api.HeaderSweepPoints, strconv.Itoa(len(items)))
-	writeJSON(w, struct {
+	api.WriteJSON(w, struct {
 		Items []api.SweepItem `json:"items"`
 	}{items})
 }
@@ -113,13 +103,13 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 // canonical grid order, byte-identical to the single-node stream. Cache
 // hit/miss trailers are omitted (they are per-worker facts); the point
 // count trailer is kept.
-func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, canonical []byte, keys []string, from, to int) {
+func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sweep api.NormalizedSweep, from, to int) {
 	w.Header().Set("Trailer", api.HeaderSweepPoints)
 	w.Header().Set("Content-Type", api.NDJSONContentType)
 	framed := r.Header.Get(api.HeaderSweepIntegrity) == api.IntegrityCRC32C
 	flusher, _ := w.(http.Flusher)
 	wrote := 0
-	err := c.run(r.Context(), canonical, keys, from, to, func(line []byte) error {
+	err := c.run(r.Context(), sweep, from, to, func(line []byte) error {
 		if err := r.Context().Err(); err != nil {
 			return err
 		}
@@ -137,7 +127,7 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, canoni
 	})
 	if err != nil {
 		if wrote == 0 {
-			writeError(w, http.StatusBadGateway, err)
+			api.WriteError(w, http.StatusBadGateway, err)
 			return
 		}
 		// Mid-stream failure: mirror the single-node handler's terminal
@@ -151,39 +141,4 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, canoni
 		return
 	}
 	w.Header().Set(api.HeaderSweepPoints, strconv.Itoa(wrote))
-}
-
-// rangeParams mirrors the single-node ?offset=&limit= parsing so a
-// coordinator can itself be dispatched to as a worker tier.
-func rangeParams(r *http.Request) (offset, limit int, err error) {
-	offset, limit = 0, -1
-	if q := r.URL.Query().Get("offset"); q != "" {
-		if offset, err = strconv.Atoi(q); err != nil || offset < 0 {
-			return 0, 0, fmt.Errorf("fabric: offset %q must be a non-negative integer", q)
-		}
-	}
-	if q := r.URL.Query().Get("limit"); q != "" {
-		if limit, err = strconv.Atoi(q); err != nil || limit < 0 {
-			return 0, 0, fmt.Errorf("fabric: limit %q must be a non-negative integer", q)
-		}
-	}
-	return offset, limit, nil
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(data, '\n'))
 }

@@ -158,7 +158,7 @@ func (rp *Replica) logf(format string, args ...any) {
 func (rp *Replica) fence(w http.ResponseWriter, r *http.Request) bool {
 	term, err := strconv.ParseUint(r.Header.Get(HeaderReplicaTerm), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: bad %s: %v", HeaderReplicaTerm, err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: bad %s: %v", HeaderReplicaTerm, err))
 		return false
 	}
 	if err := rp.observe(term, r.Header.Get(HeaderReplicaLeader)); err != nil {
@@ -172,7 +172,7 @@ func (rp *Replica) fence(w http.ResponseWriter, r *http.Request) bool {
 			}{stale.term, err.Error()})
 			return false
 		}
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return false
 	}
 	return true
@@ -202,24 +202,24 @@ func (rp *Replica) handleCreate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var body replicaJobBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: bad replica job body: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: bad replica job body: %w", err))
 		return
 	}
 	if body.Meta.ID != id {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: body id %q != path id %q", body.Meta.ID, id))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: body id %q != path id %q", body.Meta.ID, id))
 		return
 	}
 	if jobs.IDFor(body.Request) != id {
-		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("fabric: request bytes do not hash to %q (corrupt in flight?)", id))
+		api.WriteError(w, http.StatusUnprocessableEntity, fmt.Errorf("fabric: request bytes do not hash to %q (corrupt in flight?)", id))
 		return
 	}
 	// Create is atomic-rename idempotent: a re-PUT (the leader healing
 	// a 404) refreshes request and meta in place.
 	if err := rp.cfg.Store.Create(body.Meta, body.Request); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, struct {
+	api.WriteJSON(w, struct {
 		ID string `json:"id"`
 	}{id})
 }
@@ -231,28 +231,28 @@ func (rp *Replica) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	from, err := strconv.Atoi(r.URL.Query().Get("from"))
 	if err != nil || from < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: checkpoint from %q must be a non-negative integer", r.URL.Query().Get("from")))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: checkpoint from %q must be a non-negative integer", r.URL.Query().Get("from")))
 		return
 	}
 	var meta jobs.Meta
 	if err := json.Unmarshal([]byte(r.Header.Get(HeaderReplicaMeta)), &meta); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: bad %s: %v", HeaderReplicaMeta, err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: bad %s: %v", HeaderReplicaMeta, err))
 		return
 	}
 	if meta.ID != id {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: meta id %q != path id %q", meta.ID, id))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: meta id %q != path id %q", meta.ID, id))
 		return
 	}
 	if _, err := rp.cfg.Store.ReadMeta(id); errors.Is(err, jobs.ErrNotFound) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("fabric: job %s not replicated here", id))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("fabric: job %s not replicated here", id))
 		return
 	} else if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 32<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: reading checkpoint body: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: reading checkpoint body: %w", err))
 		return
 	}
 	// Unframe and verify every line before any byte lands: a corrupt
@@ -261,7 +261,7 @@ func (rp *Replica) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// does not durably hold.
 	lines, err := unframeAll(body)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		api.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	n, err := rp.cfg.Store.ApplyReplicated(id, from, lines, meta)
@@ -277,13 +277,13 @@ func (rp *Replica) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.Is(err, jobs.ErrLeaseHeld):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
+		api.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, struct {
+	api.WriteJSON(w, struct {
 		Lines int `json:"lines"`
 	}{n})
 }
@@ -312,7 +312,7 @@ func (rp *Replica) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := rp.cfg.Store.Remove(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -324,18 +324,18 @@ func (rp *Replica) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	meta, err := rp.cfg.Store.ReadMeta(id)
 	if errors.Is(err, jobs.ErrNotFound) {
-		writeError(w, http.StatusNotFound, err)
+		api.WriteError(w, http.StatusNotFound, err)
 		return
 	} else if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	lines, err := countLines(rp.cfg.Store.ResultsPath(id))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, struct {
+	api.WriteJSON(w, struct {
 		Meta  jobs.Meta `json:"meta"`
 		Lines int       `json:"lines"`
 	}{meta, lines})
@@ -374,7 +374,7 @@ type heartbeatBody struct {
 func (rp *Replica) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb heartbeatBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<10)).Decode(&hb); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fabric: bad heartbeat: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("fabric: bad heartbeat: %w", err))
 		return
 	}
 	if err := rp.observe(hb.Term, hb.Leader); err != nil {
@@ -387,11 +387,11 @@ func (rp *Replica) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			}{stale.term})
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	term, leader := rp.Term()
-	writeJSON(w, struct {
+	api.WriteJSON(w, struct {
 		Term   uint64 `json:"term"`
 		Leader string `json:"leader"`
 	}{term, leader})
@@ -402,7 +402,7 @@ func (rp *Replica) handleSelf(w http.ResponseWriter, r *http.Request) {
 	rp.mu.Lock()
 	term, leader, age := rp.term, rp.leader, time.Since(rp.beatAt)
 	rp.mu.Unlock()
-	writeJSON(w, struct {
+	api.WriteJSON(w, struct {
 		Term      uint64 `json:"term"`
 		Leader    string `json:"leader"`
 		BeatAgeMS int64  `json:"beatAgeMs"`
