@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/jobs"
 	"repro/internal/optimize"
@@ -55,8 +56,13 @@ type Options struct {
 type Service struct {
 	cache *Cache
 	// batches reuses compiled simulation batches across grid rows and
-	// requests that resolve to the same physical configuration.
-	batches       *batchCache
+	// requests that resolve to the same physical configuration (see
+	// compiledBatch).
+	batches *lru[string, engine.Batch]
+	// plans caches validated /v1/sweep plans by the sha256 of the
+	// request body, so the ranged dispatches of one fabric sweep plan it
+	// once per worker (see planBody).
+	plans         *lru[[sha256.Size]byte, *sweepPlan]
 	maxGridPoints int
 	maxRuns       int
 	// pool bounds concurrent sweep-point evaluations SERVICE-wide and
@@ -107,7 +113,8 @@ func NewService(opt Options) *Service {
 	}
 	return &Service{
 		cache:         NewCache(opt.CacheSize),
-		batches:       newBatchCache(opt.MaxGridPoints),
+		batches:       newLRU[string, engine.Batch](opt.MaxGridPoints),
+		plans:         newLRU[[sha256.Size]byte, *sweepPlan](planCacheSize),
 		maxGridPoints: opt.MaxGridPoints,
 		maxRuns:       opt.MaxRuns,
 		pool:          jobs.NewPool(opt.Workers),

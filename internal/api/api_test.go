@@ -247,6 +247,15 @@ func TestHandlerErrors(t *testing.T) {
 		{"unknown law", "/v1/sweep", `{"scenario": {"law": "gaussian", "shape": 1}, "runs": 2}`, http.MethodPost, http.StatusBadRequest},
 		{"weibull without shape", "/v1/sweep", `{"scenario": {"law": "weibull"}, "runs": 2}`, http.MethodPost, http.StatusBadRequest},
 		{"multilevel without global", "/v1/sweep", `{"scenario": {"backend": "multilevel"}, "runs": 2}`, http.MethodPost, http.StatusBadRequest},
+		// Only whitespace may follow the document: a second document or
+		// trailing garbage is a 400, not silently ignored.
+		{"second sweep document", "/v1/sweep", `{"runs": 2}{"runs": -5}`, http.MethodPost, http.StatusBadRequest},
+		{"trailing sweep garbage", "/v1/sweep", `{"runs": 2} garbage`, http.MethodPost, http.StatusBadRequest},
+		{"trailing sweep brace", "/v1/sweep", `{"runs": 2}}`, http.MethodPost, http.StatusBadRequest},
+		{"second waste document", "/v1/waste", `{"protocol": "DoubleNBL"}{"protocol": "Quadruple"}`, http.MethodPost, http.StatusBadRequest},
+		{"trailing waste garbage", "/v1/waste", `{"protocol": "DoubleNBL"} garbage`, http.MethodPost, http.StatusBadRequest},
+		{"trailing optimum garbage", "/v1/optimum", `{"protocol": "DoubleNBL", "phiFrac": 0.5} x`, http.MethodPost, http.StatusBadRequest},
+		{"second risk document", "/v1/risk", `{"protocol": "DoubleNBL", "life": 1}{}`, http.MethodPost, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

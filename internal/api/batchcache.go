@@ -1,81 +1,24 @@
 package api
 
-import (
-	"container/list"
-	"sync"
+import "repro/internal/engine"
 
-	"repro/internal/engine"
-)
-
-// batchCache is a bounded, thread-safe LRU of compiled evaluation
-// batches (engine.Batch) keyed by the physical configuration — the
-// point key minus the runs and seed fields, plus the backend. Grid
-// rows that collapse to the same physical point (DoubleBlocking's
-// pinned φ), and repeated sweeps over the same grid with different
-// seeds or batch sizes, reuse one compilation (protocol phases,
-// optimal period, multilevel plan, detailed substrate shapes) instead
-// of recompiling per evaluation.
-type batchCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type batchEntry struct {
-	key string
-	b   engine.Batch
-}
-
-// newBatchCache returns an LRU cache holding up to capacity compiled
-// batches. capacity <= 0 disables reuse (every get compiles).
-func newBatchCache(capacity int) *batchCache {
-	return &batchCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
-	}
-}
-
-// get returns the compiled batch for key, compiling req with eng on a
-// miss. Compilation runs outside the lock; a concurrent double-compile
-// of the same key is benign (batches are immutable) and the first
-// stored entry wins.
-func (c *batchCache) get(key string, eng engine.Engine, req engine.Request) (engine.Batch, error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		b := el.Value.(*batchEntry).b
-		c.mu.Unlock()
+// compiledBatch returns the compiled evaluation batch for key from the
+// service's batch cache, compiling req with eng on a miss. The cache is
+// keyed by the physical configuration — the point key minus the runs
+// and seed fields, plus the backend — so grid rows that collapse to the
+// same physical point (DoubleBlocking's pinned φ), and repeated sweeps
+// over the same grid with different seeds or batch sizes, reuse one
+// compilation (protocol phases, optimal period, multilevel plan,
+// detailed substrate shapes). Compilation runs outside the cache's
+// lock; a concurrent double-compile of one key is benign (batches are
+// immutable) and the first stored batch wins.
+func (s *Service) compiledBatch(key string, eng engine.Engine, req engine.Request) (engine.Batch, error) {
+	if b, ok := s.batches.get(key); ok {
 		return b, nil
 	}
-	c.mu.Unlock()
-
 	b, err := eng.Compile(req)
 	if err != nil {
 		return nil, err
 	}
-	if c.cap <= 0 {
-		return b, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*batchEntry).b, nil
-	}
-	c.items[key] = c.ll.PushFront(&batchEntry{key: key, b: b})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*batchEntry).key)
-	}
-	return b, nil
-}
-
-// len returns the number of cached batches.
-func (c *batchCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	return s.batches.add(key, b), nil
 }

@@ -429,6 +429,9 @@ func TestJobSubmitValidation(t *testing.T) {
 		`{"runz": 2}`,
 		`{"scenario": {"backend": "quantum"}, "runs": 2}`,
 		`not json`,
+		// Only whitespace may follow the document.
+		`{"runs": 2}{"runs": -5}`,
+		`{"runs": 2} garbage`,
 	} {
 		resp := post(t, ts.URL+"/v1/jobs", body, nil)
 		got := readBody(t, resp)

@@ -83,7 +83,9 @@ func decodeRequest(r *http.Request, v any) error {
 }
 
 // decodeStrict is the shared strict JSON decoder: unknown fields are
-// rejected, an empty document decodes to the zero value. Job
+// rejected, an empty document decodes to the zero value, and anything
+// but whitespace after the document is rejected — a second document
+// or trailing garbage would otherwise be silently ignored. Job
 // submissions run through it too, so the job path accepts exactly the
 // request language of /v1/sweep.
 func decodeStrict(r io.Reader, v any) error {
@@ -91,6 +93,9 @@ func decodeStrict(r io.Reader, v any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("invalid request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("invalid request: trailing data after the JSON document")
 	}
 	return nil
 }
@@ -153,20 +158,25 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	var req SweepRequest
-	if err := decodeRequest(r, &req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid request: %w", err))
+		return
+	}
+	pl, err := s.planBody(body)
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if r.Header.Get("Accept") == NDJSONContentType {
-		s.streamSweep(w, r, req, offset, limit)
+		s.streamSweep(w, r, pl, offset, limit)
 		return
 	}
 	items := make([]SweepItem, 0, 16)
-	stats, err := s.sweepRange(r.Context(), req, offset, limit, jobs.Interactive, nil, func(item SweepItem) error {
+	stats, err := s.runPlan(r.Context(), pl, offset, limit, jobs.Interactive, nil, func(item SweepItem) error {
 		items = append(items, item)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -175,27 +185,41 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, sweepResponse{Items: items})
 }
 
-// streamSweep writes one SweepItem per NDJSON line, flushing as points
-// complete, and reports SweepStats as HTTP trailers. A request-context
-// cancellation (the client disconnected) is checked before every
-// encode, so it propagates into the sweep engine — and out of the
-// shared evaluation pool — promptly instead of whenever the next TCP
-// write happens to fail; any mid-stream abort terminates the stream
-// with a flushed {"error": ...} record rather than a silent
-// truncation. A non-default offset/limit streams just that contiguous
-// grid range — byte-for-byte the same lines a full-grid stream carries
-// at those positions, which is what lets a fabric coordinator merge
-// worker ranges back into a byte-identical single-node response.
-func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, offset, limit int) {
+// streamSweep writes one SweepItem per NDJSON line and reports
+// SweepStats as HTTP trailers. Lines are flushed to the client only
+// when the next point is not ready yet, and once before the handler
+// returns: a run of ready points (cache hits, a range evaluated in
+// parallel) leaves in as few writes as the response buffer allows,
+// while a line never waits on a point still computing, nor on
+// whatever runs after the handler. A request-context cancellation (the
+// client disconnected) is checked before every encode, so it
+// propagates into the sweep engine — and out of the shared evaluation
+// pool — promptly instead of whenever the next TCP write happens to
+// fail; any mid-stream abort terminates the stream with a flushed
+// {"error": ...} record rather than a silent truncation. A non-default
+// offset/limit streams just that contiguous grid range — byte-for-byte
+// the same lines a full-grid stream carries at those positions, which
+// is what lets a fabric coordinator merge worker ranges back into a
+// byte-identical single-node response.
+func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, pl *sweepPlan, offset, limit int) {
 	w.Header().Set("Trailer", HeaderSweepPoints+", "+HeaderSweepHits+", "+HeaderSweepMisses)
 	w.Header().Set("Content-Type", NDJSONContentType)
 	framed := r.Header.Get(HeaderSweepIntegrity) == IntegrityCRC32C
 	flusher, _ := w.(http.Flusher)
+	// Only written lines are flushed: a flush before the first line
+	// would commit the 200 status that an early error must replace.
+	unflushed := false
+	flush := func() {
+		if unflushed && flusher != nil {
+			flusher.Flush()
+		}
+		unflushed = false
+	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	var frame []byte // reused integrity-framing scratch
 	wrote := false
-	stats, err := s.sweepRange(r.Context(), req, offset, limit, jobs.Interactive, nil, func(item SweepItem) error {
+	stats, err := s.runPlan(r.Context(), pl, offset, limit, jobs.Interactive, nil, func(item SweepItem) error {
 		if err := r.Context().Err(); err != nil {
 			return err
 		}
@@ -211,12 +235,9 @@ func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, req SweepR
 		if _, err := w.Write(line); err != nil {
 			return err
 		}
-		wrote = true
-		if flusher != nil {
-			flusher.Flush()
-		}
+		wrote, unflushed = true, true
 		return nil
-	})
+	}, flush)
 	if err != nil {
 		if !wrote {
 			WriteError(w, http.StatusBadRequest, err)
@@ -227,11 +248,10 @@ func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, req SweepR
 		// connected client actually sees why the stream ended early.
 		// Error records are never integrity-framed (see integrity.go).
 		json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		unflushed = true
 	}
 	setSweepHeaders(w.Header(), stats)
+	flush()
 }
 
 func setSweepHeaders(h http.Header, stats SweepStats) {

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -464,51 +463,66 @@ func lawLabel(law failure.Law) string {
 // so the historical fast/exponential keys — and therefore the derived
 // per-point seeds and golden responses — are unchanged.
 func batchKey(backend string, req engine.Request) string {
+	return string(appendBatchKey(make([]byte, 0, 192), backend, req))
+}
+
+// appendBatchKey appends batchKey's rendering to b. Keys are built for
+// every point of every sweep, so they are appended into one buffer
+// with strconv rather than formatted.
+func appendBatchKey(b []byte, backend string, req engine.Request) []byte {
 	p := req.Params
-	var b strings.Builder
-	b.WriteString(req.Protocol.String())
-	for _, f := range []float64{p.D, p.Delta, p.R, p.Alpha, p.M, req.Phi, req.Period, req.Tbase} {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatFloat(f, 'x', -1, 64))
+	b = append(b, req.Protocol.String()...)
+	for _, f := range [...]float64{p.D, p.Delta, p.R, p.Alpha, p.M, req.Phi, req.Period, req.Tbase} {
+		b = append(b, '|')
+		b = strconv.AppendFloat(b, f, 'x', -1, 64)
 	}
-	fmt.Fprintf(&b, "|n=%d", p.N)
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, int64(p.N), 10)
 	if req.Law != nil {
-		// %#v renders the concrete law with all its parameters (Name()
-		// alone omits the law's MTBF).
-		fmt.Fprintf(&b, "|law=%#v", req.Law)
+		b = append(b, "|law="...)
+		b = appendLaw(b, req.Law)
 	}
 	if req.MaxSimTime != 0 {
-		fmt.Fprintf(&b, "|maxt=%s", strconv.FormatFloat(req.MaxSimTime, 'x', -1, 64))
+		b = append(b, "|maxt="...)
+		b = strconv.AppendFloat(b, req.MaxSimTime, 'x', -1, 64)
 	}
 	if backend != "" && backend != "fast" {
-		fmt.Fprintf(&b, "|backend=%s", backend)
+		b = append(b, "|backend="...)
+		b = append(b, backend...)
 	}
 	if req.ImageBytes != 0 {
-		fmt.Fprintf(&b, "|img=%d", req.ImageBytes)
+		b = append(b, "|img="...)
+		b = strconv.AppendInt(b, req.ImageBytes, 10)
 	}
 	if req.Spares != 0 {
-		fmt.Fprintf(&b, "|spares=%d", req.Spares)
+		b = append(b, "|spares="...)
+		b = strconv.AppendInt(b, int64(req.Spares), 10)
 	}
-	if req.Global != nil {
-		fmt.Fprintf(&b, "|g=%s|rg=%s|k=%d",
-			strconv.FormatFloat(req.Global.G, 'x', -1, 64),
-			strconv.FormatFloat(req.Global.Rg, 'x', -1, 64),
-			req.Global.K)
+	if g := req.Global; g != nil {
+		b = append(b, "|g="...)
+		b = strconv.AppendFloat(b, g.G, 'x', -1, 64)
+		b = append(b, "|rg="...)
+		b = strconv.AppendFloat(b, g.Rg, 'x', -1, 64)
+		b = append(b, "|k="...)
+		b = strconv.AppendInt(b, int64(g.K), 10)
 	}
 	if c := req.Correlation; c != nil {
 		if d := c.Domains; d != nil {
-			fmt.Fprintf(&b, "|dom=%d:%s", d.Size, strconv.FormatFloat(d.Rate, 'x', -1, 64))
+			b = append(b, "|dom="...)
+			b = strconv.AppendInt(b, int64(d.Size), 10)
+			b = append(b, ':')
+			b = strconv.AppendFloat(b, d.Rate, 'x', -1, 64)
 			if d.Stripe {
-				b.WriteString(":stripe")
+				b = append(b, ":stripe"...)
 			}
 		}
 		if len(c.Groups) > 0 {
-			b.WriteString("|groups=")
+			b = append(b, "|groups="...)
 			for i, w := range c.Groups {
 				if i > 0 {
-					b.WriteByte(',')
+					b = append(b, ',')
 				}
-				b.WriteString(strconv.FormatFloat(w, 'x', -1, 64))
+				b = strconv.AppendFloat(b, w, 'x', -1, 64)
 			}
 		}
 	}
@@ -516,10 +530,35 @@ func batchKey(backend string, req engine.Request) string {
 		// The content id (name@digest), not the trace bytes: re-binding a
 		// name to a different log changes the id, so it can never alias a
 		// cached point.
-		b.WriteString("|trace=")
-		b.WriteString(req.TraceID)
+		b = append(b, "|trace="...)
+		b = append(b, req.TraceID...)
 	}
-	return b.String()
+	return b
+}
+
+// appendLaw renders a failure law with all its parameters (Name()
+// alone omits the law's MTBF) in Go syntax, as fmt's %#v does, so the
+// historical keys hold: strconv's shortest 'g' format is %v's float
+// format.
+func appendLaw(b []byte, law failure.Law) []byte {
+	switch l := law.(type) {
+	case failure.Weibull:
+		b = append(b, "failure.Weibull{Shape:"...)
+		b = strconv.AppendFloat(b, l.Shape, 'g', -1, 64)
+		b = append(b, ", MTBF:"...)
+		b = strconv.AppendFloat(b, l.MTBF, 'g', -1, 64)
+	case failure.LogNormal:
+		b = append(b, "failure.LogNormal{MTBF:"...)
+		b = strconv.AppendFloat(b, l.MTBF, 'g', -1, 64)
+		b = append(b, ", Sigma:"...)
+		b = strconv.AppendFloat(b, l.Sigma, 'g', -1, 64)
+	case failure.Exponential:
+		b = append(b, "failure.Exponential{MTBF:"...)
+		b = strconv.AppendFloat(b, l.MTBF, 'g', -1, 64)
+	default:
+		return fmt.Appendf(b, "%#v", law)
+	}
+	return append(b, '}')
 }
 
 // pointKey canonicalizes a sweep point into the cache key: the
@@ -530,12 +569,18 @@ func batchKey(backend string, req engine.Request) string {
 // keep their historical keys (and therefore their derived per-point
 // seeds and golden byte responses) unchanged.
 func pointKey(backend string, req engine.Request, runs int, baseSeed uint64, spec engine.Precision) string {
-	key := batchKey(backend, req) + fmt.Sprintf("|runs=%d|seed=%d", runs, baseSeed)
+	b := appendBatchKey(make([]byte, 0, 256), backend, req)
+	b = append(b, "|runs="...)
+	b = strconv.AppendInt(b, int64(runs), 10)
+	b = append(b, "|seed="...)
+	b = strconv.AppendUint(b, baseSeed, 10)
 	if spec.Enabled() {
-		key += fmt.Sprintf("|relerr=%s|maxruns=%d",
-			strconv.FormatFloat(spec.TargetRelErr, 'x', -1, 64), spec.MaxRuns)
+		b = append(b, "|relerr="...)
+		b = strconv.AppendFloat(b, spec.TargetRelErr, 'x', -1, 64)
+		b = append(b, "|maxruns="...)
+		b = strconv.AppendInt(b, int64(spec.MaxRuns), 10)
 	}
-	return key
+	return string(b)
 }
 
 // fnv64 is the FNV-1a hash of s, used to key rng.Stream.Split.
@@ -585,7 +630,7 @@ func (s *Service) evaluate(pt sweepPoint, runs int, spec engine.Precision, simWo
 	// the period and plan resolved), so grid rows that collapse to one
 	// physical point and repeated sweeps with different seeds or batch
 	// sizes share one compilation — whatever the backend.
-	b, err := s.batches.get(batchKey(pt.eng.Name(), resolved), pt.eng, resolved)
+	b, err := s.compiledBatch(batchKey(pt.eng.Name(), resolved), pt.eng, resolved)
 	if err != nil {
 		return SweepItem{}, false, fmt.Errorf("api: point %s: %w", pt.key, err)
 	}
@@ -679,15 +724,24 @@ func (pl *sweepPlan) keys() []string {
 }
 
 // sweepRange is the shared range executor behind SweepStreamFrom
-// (limit < 0) and SweepStreamRange. It plans the grid and materialises
-// only the requested range, so a worker serving one range of a large
-// grid — or a job resuming near its end — pays for that range, not for
-// the grid.
+// (limit < 0) and SweepStreamRange: it plans the request and runs the
+// range.
 func (s *Service) sweepRange(ctx context.Context, req SweepRequest, offset, limit int, pr jobs.Priority, onExpand func(total int) error, emit func(SweepItem) error) (SweepStats, error) {
-	pl, err := s.plan(&req) // normalizes req.Runs for the evaluations below
+	pl, err := s.plan(&req)
 	if err != nil {
 		return SweepStats{}, err
 	}
+	return s.runPlan(ctx, pl, offset, limit, pr, onExpand, emit, nil)
+}
+
+// runPlan evaluates the points [offset, offset+limit) of a plan and
+// emits their items in grid order. It materialises only the requested
+// range, so a worker serving one range of a large grid — or a job
+// resuming near its end — pays for that range, not for the grid. The
+// plan is only read, so one cached plan serves concurrent requests.
+// stalled, if non-nil, runs on the emitting goroutine whenever the
+// next point is not ready yet: the streaming handler flushes there.
+func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int, pr jobs.Priority, onExpand func(total int) error, emit func(SweepItem) error, stalled func()) (SweepStats, error) {
 	stats := SweepStats{Points: pl.total}
 	if onExpand != nil {
 		if err := onExpand(pl.total); err != nil {
@@ -698,6 +752,7 @@ func (s *Service) sweepRange(ctx context.Context, req SweepRequest, offset, limi
 	if err != nil {
 		return stats, err
 	}
+	runs, spec := pl.req.Runs, pl.req.precision()
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -727,11 +782,11 @@ func (s *Service) sweepRange(ctx context.Context, req SweepRequest, offset, limi
 				continue // ctx is dead; fail the rest without blocking
 			}
 			held := 1
-			for held < req.Runs && s.pool.TryAcquire() {
+			for held < runs && s.pool.TryAcquire() {
 				held++
 			}
 			go func(i, held int) {
-				item, cached, err := s.evaluate(points[i], req.Runs, req.precision(), held)
+				item, cached, err := s.evaluate(points[i], runs, spec, held)
 				for j := 0; j < held; j++ {
 					s.pool.Release()
 				}
@@ -744,8 +799,15 @@ func (s *Service) sweepRange(ctx context.Context, req SweepRequest, offset, limi
 	for i := range points {
 		select {
 		case <-ready[i]:
-		case <-ctx.Done():
-			return stats, ctx.Err()
+		default:
+			if stalled != nil {
+				stalled()
+			}
+			select {
+			case <-ready[i]:
+			case <-ctx.Done():
+				return stats, ctx.Err()
+			}
 		}
 		if slots[i].err != nil {
 			return stats, slots[i].err

@@ -479,12 +479,13 @@ func (c *Coordinator) SweepStreamFrom(ctx context.Context, request []byte, offse
 	if offset < 0 || offset > total {
 		return fmt.Errorf("fabric: resume offset %d outside the %d-point grid", offset, total)
 	}
-	return c.run(ctx, sweep, offset, total, emit)
+	return c.run(ctx, sweep, offset, total, emit, nil)
 }
 
 // run dispatches grid points [from, to) of the normalized sweep and
-// merges their lines.
-func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, to int, emit func(line []byte) error) error {
+// merges their lines. flush, if non-nil, runs after each run of lines
+// the merger drains in one go, serialized with emit.
+func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, to int, emit func(line []byte) error, flush func()) error {
 	if from >= to {
 		return nil
 	}
@@ -492,6 +493,7 @@ func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, 
 	defer cancel()
 
 	m := NewMerger(from, to, emit)
+	m.flush = flush
 	s := &sched{cancel: cancel}
 	s.cond = sync.NewCond(&s.mu)
 	for _, rg := range c.ring.Ranges(sweep.Keys[from:to], from) {

@@ -88,7 +88,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		items = append(items, item)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		api.WriteError(w, http.StatusBadGateway, err)
 		return
@@ -100,14 +100,18 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamSweep streams the merged worker lines as they land — in
-// canonical grid order, byte-identical to the single-node stream. Cache
-// hit/miss trailers are omitted (they are per-worker facts); the point
-// count trailer is kept.
+// canonical grid order, byte-identical to the single-node stream. Each
+// run of lines the merger drains at once is flushed once, not line by
+// line. Cache hit/miss trailers are omitted (they are per-worker
+// facts); the point count trailer is kept.
 func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sweep api.NormalizedSweep, from, to int) {
 	w.Header().Set("Trailer", api.HeaderSweepPoints)
 	w.Header().Set("Content-Type", api.NDJSONContentType)
 	framed := r.Header.Get(api.HeaderSweepIntegrity) == api.IntegrityCRC32C
-	flusher, _ := w.(http.Flusher)
+	flush := func() {}
+	if flusher, ok := w.(http.Flusher); ok {
+		flush = flusher.Flush
+	}
 	wrote := 0
 	err := c.run(r.Context(), sweep, from, to, func(line []byte) error {
 		if err := r.Context().Err(); err != nil {
@@ -120,11 +124,8 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sweep 
 			return err
 		}
 		wrote++
-		if flusher != nil {
-			flusher.Flush()
-		}
 		return nil
-	})
+	}, flush)
 	if err != nil {
 		if wrote == 0 {
 			api.WriteError(w, http.StatusBadGateway, err)
@@ -135,9 +136,7 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sweep 
 		json.NewEncoder(w).Encode(struct {
 			Error string `json:"error"`
 		}{err.Error()})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		flush()
 		return
 	}
 	w.Header().Set(api.HeaderSweepPoints, strconv.Itoa(wrote))

@@ -35,6 +35,7 @@ type Merger struct {
 	buffer  map[int][]byte // accepted, not yet emitted (out-of-order arrivals)
 	free    [][]byte       // retired line buffers, reused by later accepts
 	emit    func(line []byte) error
+	flush   func()                          // after each drained run of emits; may be nil
 	hook    func(i int, line []byte) []byte // fault-injection intake hook
 	err     error                           // sticky first emit error
 	emitted int
@@ -96,6 +97,7 @@ func (m *Merger) Add(i int, line []byte) (fresh bool, err error) {
 		buf, m.free = m.free[n-1][:0], m.free[:n-1]
 	}
 	m.buffer[i] = append(buf, line...)
+	drained := false
 	for {
 		line, ok := m.buffer[m.next]
 		if !ok {
@@ -109,6 +111,10 @@ func (m *Merger) Add(i int, line []byte) (fresh bool, err error) {
 		m.free = append(m.free, line)
 		m.next++
 		m.emitted++
+		drained = true
+	}
+	if drained && m.flush != nil {
+		m.flush()
 	}
 	return true, nil
 }

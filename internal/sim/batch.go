@@ -122,19 +122,23 @@ func compileConfig(cfg Config) (compiled, error) {
 type Batch struct {
 	cfg Config
 	c   compiled
-	// lanes pools default-width LaneRunners across aggregateLanes
-	// calls: the sweep engine reuses cached compiled batches over many
-	// small points, and a lane runner's SoA construction would
-	// otherwise dominate such a point's allocations.
-	lanes sync.Pool
 }
 
-// laneRunner returns a pooled DefaultLaneWidth runner (aggregateLanes
-// returns it via lanes.Put when the batch completes). Every mutable
-// bit of a LaneRunner is rewound per run and its mode flags are reset
-// by the caller, so reuse cannot leak state between batches.
+// lanePool holds DefaultLaneWidth LaneRunners shared by every batch of
+// the process. The sweep engine compiles a new batch for every new
+// physical point and runs each for only a few runs, so a per-batch
+// pool would build a fresh 16-lane runner — most of such a point's
+// allocations — for nearly every point.
+var lanePool sync.Pool
+
+// laneRunner returns a DefaultLaneWidth runner bound to b, from the
+// process-wide pool when one is free (aggregateLanes returns it when
+// the batch completes). b must be on the i.i.d. path. bind recomputes
+// everything derived from the batch and resetLane rewinds every
+// mutable bit per run, so reuse cannot leak state between batches.
 func (b *Batch) laneRunner() (*LaneRunner, error) {
-	if lr, ok := b.lanes.Get().(*LaneRunner); ok {
+	if lr, ok := lanePool.Get().(*LaneRunner); ok {
+		lr.bind(b)
 		return lr, nil
 	}
 	return b.NewLaneRunner(DefaultLaneWidth)

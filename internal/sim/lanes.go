@@ -106,7 +106,7 @@ type LaneRunner struct {
 	// Failure sampling: one content-seeded stream and merged process
 	// per lane, refilling a per-lane slice of the shared event buffers.
 	streams []rng.Stream
-	merged  []*failure.Merged
+	merged  []failure.Merged
 	evTime  []float64 // width × bufLen, lane l owns [l·bufLen, (l+1)·bufLen)
 	evNode  []int32
 	evPos   []int
@@ -136,8 +136,7 @@ func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
 	if width < 1 || width > 1<<16 {
 		return nil, fmt.Errorf("sim: lane width %d must be in [1, 65536]", width)
 	}
-	lr := &LaneRunner{compiled: b.c, width: width}
-	lr.workCap = lr.tbase - 2*lr.periodWork
+	lr := &LaneRunner{width: width}
 	lr.t = make([]float64, width)
 	lr.work = make([]float64, width)
 	lr.snapshotWork = make([]float64, width)
@@ -154,14 +153,29 @@ func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
 	lr.comp = make([][]riskEntry, width)
 	lr.res = make([]Result, width)
 	lr.streams = make([]rng.Stream, width)
-	lr.merged = make([]*failure.Merged, width)
-	for l := 0; l < width; l++ {
+	lr.merged = make([]failure.Merged, width)
+	for l := range lr.comp {
 		lr.comp[l] = make([]riskEntry, 0, 16)
-		lr.merged[l] = failure.NewMerged(lr.p.N, lr.p.M, &lr.streams[l])
 	}
+	lr.evPos = make([]int, width)
 	lr.active = make([]int, 0, width)
 	lr.parked = make([]int, 0, width)
 	lr.keys = make([]uint64, 0, width)
+	lr.bind(b)
+	return lr, nil
+}
+
+// bind points the runner at batch b, which must be on the i.i.d.
+// path: every field derived from the compiled configuration is
+// recomputed, the modes return to the production defaults and the
+// sampler buffer is resized (resliced when its capacity allows). The
+// per-run state is rewound by resetLane anyway, so a rebound runner
+// produces the same bits as NewLaneRunner on b — which is what lets
+// one process-wide pool serve every batch.
+func (lr *LaneRunner) bind(b *Batch) {
+	lr.compiled = b.c
+	lr.workCap = lr.tbase - 2*lr.periodWork
+	lr.invPeriod, lr.invPeriodWork = 0, 0
 	if lr.period > 0 {
 		lr.invPeriod = 1 / lr.period
 	}
@@ -179,9 +193,11 @@ func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
 	lr.wc.wc1 = lr.exRate * c1
 	lr.wc.wc2 = lr.exRate * lr.wc.seg2
 	lr.wc.triple = lr.pr.IsTriple()
-	lr.zig = true // production default; SetExact(true) restores inverse-CDF
+	for l := range lr.merged {
+		lr.merged[l] = *failure.NewMerged(lr.p.N, lr.p.M, &lr.streams[l])
+	}
+	lr.SetExact(false) // production default; SetExact(true) restores inverse-CDF
 	lr.SetSamplerBatch(defaultSamplerBatch(lr.tbase, lr.p.M))
-	return lr, nil
 }
 
 // defaultSamplerBatch sizes the per-lane event prefetch: a quarter of
@@ -212,10 +228,19 @@ func (lr *LaneRunner) SetSamplerBatch(n int) {
 		n = 1
 	}
 	lr.bufLen = n
-	lr.evTime = make([]float64, lr.width*n)
-	lr.evNode = make([]int32, lr.width*n)
-	lr.evPos = make([]int, lr.width)
-	lr.us = make([]float64, n)
+	lr.evTime = resize(lr.evTime, lr.width*n)
+	lr.evNode = resize(lr.evNode, lr.width*n)
+	lr.us = resize(lr.us, n)
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity allows. The contents are stale: the sampler buffers are
+// refilled before they are read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // SetZiggurat switches the inter-arrival sampler between the

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -131,6 +133,121 @@ func TestLaneRunnerSamplerBatchInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLaneRunnerReboundMatchesFresh pins the process-wide pool's
+// contract: a runner rebound from batch to batch produces bitwise the
+// Results of a fresh NewLaneRunner on each batch. The batch sequence
+// changes N, M and tbase, so the sampler buffer grows (8 → 64 events
+// per lane), shrinks and grows again, and the mode sequence runs
+// production, exact and antithetic batches in turn, so every mode
+// follows every other one — an antithetic batch followed by a
+// production batch included.
+func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
+	p := scenario.Base().Params
+	small := p.WithMTBF(150)
+	small.N = 2592
+	tiny := p.WithMTBF(450)
+	tiny.N = 96
+	cfgs := []Config{
+		{Protocol: core.DoubleNBL, Params: p.WithMTBF(1800), Phi: 1, Tbase: 2e4},
+		{Protocol: core.TripleBoF, Params: small, Phi: 0, Tbase: 5e4},
+		{Protocol: core.DoubleBoF, Params: tiny, Phi: 0.5, Tbase: 1e4},
+		{Protocol: core.TripleNBL, Params: p.WithMTBF(300), Phi: 1, Tbase: 2e4, MaxSimTime: 2.4e4},
+	}
+	const (
+		production = iota
+		exact
+		antithetic
+	)
+	setMode := func(lr *LaneRunner, m int) { lr.SetExact(m != production) }
+	seeds := make([]uint64, DefaultLaneWidth)
+	anti := make([]bool, DefaultLaneWidth)
+	want := make([]Result, DefaultLaneWidth)
+	got := make([]Result, DefaultLaneWidth)
+	var rebound *LaneRunner
+	for step := 0; step < 2*len(cfgs); step++ {
+		cfg, m := cfgs[step%len(cfgs)], step%3
+		b, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := b.NewLaneRunner(DefaultLaneWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebound == nil {
+			rebound, err = b.NewLaneRunner(DefaultLaneWidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			rebound.bind(b)
+		}
+		setMode(fresh, m)
+		setMode(rebound, m)
+		var flags []bool
+		for l := range seeds {
+			seeds[l] = uint64(100*step + l)
+			if m == antithetic {
+				seeds[l] = uint64(100*step + l/2)
+				anti[l] = l&1 == 1
+				flags = anti
+			}
+		}
+		fresh.RunBatch(seeds, flags, want)
+		rebound.RunBatch(seeds, flags, got)
+		for l := range got {
+			if got[l] != want[l] {
+				t.Fatalf("step %d (config %d, mode %d, sampler batch %d) lane %d:\nrebound %+v\nfresh   %+v",
+					step, step%len(cfgs), m, rebound.bufLen, l, got[l], want[l])
+			}
+		}
+	}
+}
+
+// TestRunManySeededConcurrentBatchesSharePool runs different batches
+// from several goroutines at once, so the process-wide lane pool hands
+// runners back and forth between batches and modes while they run.
+// Every Aggregate must equal the batch's sequential reference; under
+// -race this is the pool's concurrency check.
+func TestRunManySeededConcurrentBatchesSharePool(t *testing.T) {
+	cfgs := laneTestConfigs()[:6]
+	batches := make([]*Batch, len(cfgs))
+	want := make([]Aggregate, len(cfgs))
+	wantAnti := make([]Aggregate, len(cfgs))
+	for i, cfg := range cfgs {
+		b, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches[i] = b
+		if want[i], err = b.RunManySeeded(uint64(i), 40, 1); err != nil {
+			t.Fatal(err)
+		}
+		if wantAnti[i], err = b.RunAntitheticSeeded(uint64(i), 0, 40, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				i := (g + round) % len(batches)
+				got, err := batches[i].RunManySeeded(uint64(i), 40, 2)
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d batch %d: production aggregate differs (err %v)", g, i, err)
+				}
+				got, err = batches[i].RunAntitheticSeeded(uint64(i), 0, 40, 2, nil)
+				if err != nil || !reflect.DeepEqual(got, wantAnti[i]) {
+					t.Errorf("goroutine %d batch %d: antithetic aggregate differs (err %v)", g, i, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestRunManySeededLaneWorkerInvariantAndStatistical pins the executor

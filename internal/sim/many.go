@@ -180,7 +180,7 @@ func (b *Batch) aggregateLanes(n, workers int, antithetic bool,
 	defer func() {
 		for _, w := range ws {
 			if w != nil {
-				b.lanes.Put(w.lr)
+				lanePool.Put(w.lr)
 			}
 		}
 	}()
@@ -191,9 +191,7 @@ func (b *Batch) aggregateLanes(n, workers int, antithetic bool,
 		}
 		// The antithetic schedule runs in exact mode: reflection must
 		// mirror the scalar draw sequence exactly for the pairing (and
-		// the adaptive executor's oracle tests) to hold. SetExact also
-		// restores the production defaults on a pooled runner last used
-		// antithetically.
+		// the adaptive executor's oracle tests) to hold.
 		lr.SetExact(antithetic)
 		ws[w] = &laneWorker{lr: lr, seeds: make([]uint64, DefaultLaneWidth)}
 		if antithetic {
