@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/failure"
-	"repro/internal/rng"
 	"repro/internal/scenario"
 )
 
@@ -81,19 +80,9 @@ func fmtPointKey(backend string, req engine.Request, runs int, baseSeed uint64, 
 	return key
 }
 
-// otherLaw stands for a failure law the key builder has no case for.
-type otherLaw struct {
-	Rate  float64
-	Nodes int
-}
-
-func (otherLaw) Sample(*rng.Stream) float64 { return 1 }
-func (otherLaw) Mean() float64              { return 1 }
-func (otherLaw) Name() string               { return "other" }
-
 // TestKeysMatchFmtFormatter pins the strconv key builders byte for
 // byte to the fmt formatter on every optional field: law (each
-// concrete law and an unknown one), horizon, backend, substrate shape,
+// concrete law), horizon, backend, substrate shape,
 // global level, failure domains with and without stripes, MTBF groups,
 // trace id and the adaptive precision spec — alone and all together.
 func TestKeysMatchFmtFormatter(t *testing.T) {
@@ -123,7 +112,6 @@ func TestKeysMatchFmtFormatter(t *testing.T) {
 		{name: "weibull", backend: "fast", edit: func(r *engine.Request) { r.Law = failure.Weibull{Shape: 0.7, MTBF: 1.26e7} }},
 		{name: "lognormal", backend: "fast", edit: func(r *engine.Request) { r.Law = failure.LogNormal{MTBF: 5.5e-5, Sigma: 1e21} }},
 		{name: "exponential", backend: "fast", edit: func(r *engine.Request) { r.Law = failure.Exponential{MTBF: 123456789} }},
-		{name: "unknown law", backend: "fast", edit: func(r *engine.Request) { r.Law = otherLaw{Rate: 0.25, Nodes: 3} }},
 		{name: "maxt", backend: "fast", edit: func(r *engine.Request) { r.MaxSimTime = 1.2e4 }},
 		{name: "detailed", backend: "detailed"},
 		{name: "multilevel", backend: "multilevel"},

@@ -468,7 +468,7 @@ func batchKey(backend string, req engine.Request) string {
 
 // appendBatchKey appends batchKey's rendering to b. Keys are built for
 // every point of every sweep, so they are appended into one buffer
-// with strconv rather than formatted.
+// with strconv; only a non-default failure law goes through fmt.
 func appendBatchKey(b []byte, backend string, req engine.Request) []byte {
 	p := req.Params
 	b = append(b, req.Protocol.String()...)
@@ -479,8 +479,9 @@ func appendBatchKey(b []byte, backend string, req engine.Request) []byte {
 	b = append(b, "|n="...)
 	b = strconv.AppendInt(b, int64(p.N), 10)
 	if req.Law != nil {
-		b = append(b, "|law="...)
-		b = appendLaw(b, req.Law)
+		// Go syntax with every parameter (Name() alone omits the law's
+		// MTBF), as the historical keys have it.
+		b = fmt.Appendf(b, "|law=%#v", req.Law)
 	}
 	if req.MaxSimTime != 0 {
 		b = append(b, "|maxt="...)
@@ -534,31 +535,6 @@ func appendBatchKey(b []byte, backend string, req engine.Request) []byte {
 		b = append(b, req.TraceID...)
 	}
 	return b
-}
-
-// appendLaw renders a failure law with all its parameters (Name()
-// alone omits the law's MTBF) in Go syntax, as fmt's %#v does, so the
-// historical keys hold: strconv's shortest 'g' format is %v's float
-// format.
-func appendLaw(b []byte, law failure.Law) []byte {
-	switch l := law.(type) {
-	case failure.Weibull:
-		b = append(b, "failure.Weibull{Shape:"...)
-		b = strconv.AppendFloat(b, l.Shape, 'g', -1, 64)
-		b = append(b, ", MTBF:"...)
-		b = strconv.AppendFloat(b, l.MTBF, 'g', -1, 64)
-	case failure.LogNormal:
-		b = append(b, "failure.LogNormal{MTBF:"...)
-		b = strconv.AppendFloat(b, l.MTBF, 'g', -1, 64)
-		b = append(b, ", Sigma:"...)
-		b = strconv.AppendFloat(b, l.Sigma, 'g', -1, 64)
-	case failure.Exponential:
-		b = append(b, "failure.Exponential{MTBF:"...)
-		b = strconv.AppendFloat(b, l.MTBF, 'g', -1, 64)
-	default:
-		return fmt.Appendf(b, "%#v", law)
-	}
-	return append(b, '}')
 }
 
 // pointKey canonicalizes a sweep point into the cache key: the
