@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -236,9 +237,17 @@ func TestSweepTraceReplayDeterministicResume(t *testing.T) {
 	if _, err := resumed.RegisterTrace("cronos", tr); err != nil {
 		t.Fatal(err)
 	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var suffix []SweepItem
-	_, err := resumed.SweepStreamFrom(context.Background(), req, 1, jobs.Interactive, nil,
-		func(item SweepItem) error {
+	err = resumed.SweepLines(context.Background(), body, 1, -1, jobs.Interactive, nil,
+		func(line []byte) error {
+			var item SweepItem
+			if err := json.Unmarshal(line, &item); err != nil {
+				return err
+			}
 			suffix = append(suffix, item)
 			return nil
 		})

@@ -41,11 +41,6 @@ func AppendFrameLine(dst, line []byte) []byte {
 	return append(dst, line...)
 }
 
-// FrameLine returns the integrity-framed copy of one result line.
-func FrameLine(line []byte) []byte {
-	return AppendFrameLine(make([]byte, 0, frameLen+len(line)), line)
-}
-
 // UnframeLine verifies one framed line and returns its payload
 // (aliased into framed). A missing or unparsable prefix and a checksum
 // mismatch are both reported as errors: the caller asked for framing,

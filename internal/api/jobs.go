@@ -45,8 +45,6 @@ type NormalizedSweep struct {
 	// Canonical is the canonical request: the job content key, and the
 	// body a fabric coordinator dispatches to its workers.
 	Canonical []byte
-	// Request is the normalized request Canonical encodes.
-	Request SweepRequest
 	// Keys is the canonical content key of every grid point, in grid
 	// order (as PointKeys returns them).
 	Keys []string
@@ -60,7 +58,7 @@ func (s *Service) NormalizeSweep(request []byte) (NormalizedSweep, error) {
 	if err != nil {
 		return NormalizedSweep{}, err
 	}
-	return NormalizedSweep{Canonical: canonical, Request: *pl.req, Keys: pl.keys()}, nil
+	return NormalizedSweep{Canonical: canonical, Keys: pl.keys()}, nil
 }
 
 // normalize strictly decodes and plans a sweep request body and
@@ -98,28 +96,15 @@ func (s *Service) normalize(request []byte) ([]byte, *sweepPlan, error) {
 }
 
 // JobExecutor is the jobs.Executor of the sweep service: it replays
-// the canonical request through the same SweepStreamFrom engine the
-// synchronous path uses — at Batch priority, from the durable offset —
-// and encodes each item exactly like the streaming /v1/sweep response
-// (compact JSON, one line per item). Identical request bytes therefore
-// produce identical line bytes on every execution, which is what makes
-// a resumed job's results file bitwise equal to an uninterrupted run.
+// the canonical request through SweepLines — at Batch priority, from
+// the durable offset — so each item is encoded exactly like the
+// streaming /v1/sweep response (compact JSON, one line per item).
+// Identical request bytes therefore produce identical line bytes on
+// every execution, which is what makes a resumed job's results file
+// bitwise equal to an uninterrupted run.
 func (s *Service) JobExecutor() jobs.Executor {
 	return func(ctx context.Context, request []byte, offset int, start func(total int) error, emit func(line []byte) error) error {
-		var req SweepRequest
-		if err := decodeStrict(bytes.NewReader(request), &req); err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		_, err := s.SweepStreamFrom(ctx, req, offset, jobs.Batch, start, func(item SweepItem) error {
-			buf.Reset()
-			if err := enc.Encode(item); err != nil {
-				return err
-			}
-			return emit(buf.Bytes())
-		})
-		return err
+		return s.SweepLines(ctx, request, offset, -1, jobs.Batch, start, emit)
 	}
 }
 
@@ -286,7 +271,7 @@ func (s *Service) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		// record instead of a silent truncation; a dead client gets
 		// nothing either way.
 		if r.Context().Err() == nil {
-			json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+			writeErrorRecord(w, err.Error())
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -295,9 +280,9 @@ func (s *Service) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	}
 	switch meta.State {
 	case jobs.Failed:
-		json.NewEncoder(w).Encode(errorResponse{Error: meta.Error})
+		writeErrorRecord(w, meta.Error)
 	case jobs.Cancelled:
-		json.NewEncoder(w).Encode(errorResponse{Error: "job cancelled"})
+		writeErrorRecord(w, "job cancelled")
 	}
 	if flusher != nil {
 		flusher.Flush()

@@ -189,7 +189,11 @@ func TestSweepRangeRejectsGridErrors(t *testing.T) {
 		if fullErr == nil {
 			t.Fatalf("%s: full grid accepted", name)
 		}
-		_, rangeErr := svc.SweepStreamRange(context.Background(), req, 0, 1, jobs.Interactive, func(SweepItem) error {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rangeErr := svc.SweepLines(context.Background(), body, 0, 1, jobs.Interactive, nil, func([]byte) error {
 			t.Fatalf("%s: range request evaluated a point", name)
 			return nil
 		})
@@ -201,8 +205,7 @@ func TestSweepRangeRejectsGridErrors(t *testing.T) {
 
 // TestNormalizeSweepOneExpansion: the coordinator's single call agrees
 // with the two it replaces — canonical bytes and grid size with
-// NormalizeJobRequest, keys with PointKeys — and its Request is what
-// the canonical bytes decode to.
+// NormalizeJobRequest, keys with PointKeys.
 func TestNormalizeSweepOneExpansion(t *testing.T) {
 	svc := NewService(Options{})
 	for name, req := range parityGrids() {
@@ -229,13 +232,6 @@ func TestNormalizeSweepOneExpansion(t *testing.T) {
 		if !reflect.DeepEqual(sweep.Keys, keys) {
 			t.Errorf("%s: NormalizeSweep keys differ from PointKeys", name)
 		}
-		var decoded SweepRequest
-		if err := json.Unmarshal(canonical, &decoded); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sweep.Request, decoded) {
-			t.Errorf("%s: Request = %+v, canonical bytes decode to %+v", name, sweep.Request, decoded)
-		}
 	}
 }
 
@@ -253,7 +249,13 @@ func TestSweepRangeCostIndependentOfGrid(t *testing.T) {
 		}
 		emit := func(SweepItem) error { return nil }
 		run := func() {
-			if _, err := svc.SweepStreamRange(context.Background(), req, 0, 1, jobs.Interactive, emit); err != nil {
+			// Plan every time, uncached: the range's cost includes planning.
+			r := req
+			pl, err := svc.plan(&r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.runPlan(context.Background(), pl, 0, 1, jobs.Interactive, nil, emit, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

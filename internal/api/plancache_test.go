@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
@@ -11,9 +10,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/engine"
 )
 
 // TestPlanCacheBounded: a repeated body is served from the cache, the
@@ -142,94 +138,4 @@ func TestPlanCacheConcurrentRangedDispatches(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-// gatedBatch blocks every runner of a batch until gate closes. It hides
-// the batch's batched executor, so evaluation goes through NewRunner.
-type gatedBatch struct {
-	engine.Batch
-	gate <-chan struct{}
-}
-
-func (g gatedBatch) NewRunner() engine.Runner {
-	<-g.gate
-	return g.Batch.NewRunner()
-}
-
-// TestStreamSweepFlushesBeforeStall: with the second point gated, the
-// worker's first line reaches the client before the gate opens — a
-// streaming sweep flushes whenever the next point is not ready.
-func TestStreamSweepFlushesBeforeStall(t *testing.T) {
-	const body = `{"protocols": ["DoubleNBL"], "phiFracs": [0.5], "mtbfs": [1800, 3600], "tbase": 10000, "runs": 2}`
-	svc, ts := newTestServer(t)
-	pl, err := svc.planBody([]byte(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := pl.point(1)
-	resolved, err := pt.eng.Resolve(pt.req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pt.eng.Compile(resolved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	var once sync.Once
-	open := func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(open)
-	key := batchKey(pt.eng.Name(), resolved)
-	svc.batches.add(key, gatedBatch{Batch: b, gate: gate})
-
-	// The request runs on its own goroutine: without a flush, even the
-	// response headers would wait for the gate.
-	lines := make(chan []byte)
-	go func() {
-		defer close(lines)
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		req.Header.Set("Accept", NDJSONContentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer resp.Body.Close()
-		br := bufio.NewReader(resp.Body)
-		for {
-			line, err := br.ReadBytes('\n')
-			if err != nil {
-				return
-			}
-			lines <- line
-		}
-	}()
-	select {
-	case line := <-lines:
-		var item SweepItem
-		if err := json.Unmarshal(line, &item); err != nil || item.MTBF != 1800 {
-			t.Fatalf("first line %q is not the first point (%v)", line, err)
-		}
-	case <-time.After(5 * time.Second):
-		open()
-		for range lines {
-		}
-		t.Fatal("the first line did not reach the client while the second point was gated")
-	}
-	open()
-	var rest []SweepItem
-	for line := range lines {
-		var item SweepItem
-		if err := json.Unmarshal(line, &item); err != nil {
-			t.Fatalf("bad line %q: %v", line, err)
-		}
-		rest = append(rest, item)
-	}
-	if len(rest) != 1 || rest[0].MTBF != 3600 || rest[0].Protocol != "DoubleNBL" {
-		t.Errorf("after the gate opened got %+v, want the 3600 s point", rest)
-	}
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,7 +39,7 @@ func NewServer(s *Service) http.Handler {
 	mux.HandleFunc("/v1/waste", handlePoint(s.Waste))
 	mux.HandleFunc("/v1/optimum", handlePoint(s.Optimum))
 	mux.HandleFunc("/v1/risk", handlePoint(s.Risk))
-	mux.HandleFunc("/v1/sweep", s.handleSweep)
+	mux.HandleFunc("/v1/sweep", SweepHandler(s.planSweep, false))
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/readyz", s.handleReady)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
@@ -53,6 +54,21 @@ func NewServer(s *Service) http.Handler {
 type errorResponse struct {
 	Error string `json:"error"`
 }
+
+// errorRecordPrefix starts the {"error": ...} record that ends a failed
+// NDJSON stream. No SweepItem line starts this way (its first field is
+// "protocol"), and an integrity-framed line starts with hex digits.
+var errorRecordPrefix = []byte(`{"error":`)
+
+// writeErrorRecord ends an NDJSON stream with the {"error": ...}
+// record. Error records are never integrity-framed (see integrity.go).
+func writeErrorRecord(w io.Writer, msg string) {
+	json.NewEncoder(w).Encode(errorResponse{Error: msg})
+}
+
+// IsErrorRecord reports whether a streamed line is the {"error": ...}
+// record that ends a failed /v1/sweep or job-results stream.
+func IsErrorRecord(line []byte) bool { return bytes.HasPrefix(line, errorRecordPrefix) }
 
 // WriteError writes err as the {"error": ...} envelope with the given
 // status. The fabric coordinator's handlers answer through it too, so
@@ -122,18 +138,13 @@ func handlePoint[T any](eval func(PointRequest) (T, error)) http.HandlerFunc {
 	}
 }
 
-// sweepResponse is the non-streaming /v1/sweep body.
-type sweepResponse struct {
-	Items []SweepItem `json:"items"`
-}
-
-// RangeParams parses the optional ?offset=&limit= query parameters
+// rangeParams parses the optional ?offset=&limit= query parameters
 // selecting a contiguous sub-range of the sweep grid — the wire format
-// the fabric coordinator uses to dispatch point ranges to workers, and
-// parses itself so that a coordinator can be dispatched to as a worker
+// a fabric coordinator dispatches point ranges to its workers with, and
+// serves itself, so a coordinator can be dispatched to as a worker
 // tier. Absent parameters select the whole grid (offset 0, limit -1),
 // so the historical /v1/sweep surface is unchanged.
-func RangeParams(r *http.Request) (offset, limit int, err error) {
+func rangeParams(r *http.Request) (offset, limit int, err error) {
 	offset, limit = 0, -1
 	if q := r.URL.Query().Get("offset"); q != "" {
 		if offset, err = strconv.Atoi(q); err != nil || offset < 0 {
@@ -148,116 +159,152 @@ func RangeParams(r *http.Request) (offset, limit int, err error) {
 	return offset, limit, nil
 }
 
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST with a JSON body"))
-		return
-	}
-	offset, limit, err := RangeParams(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid request: %w", err))
-		return
-	}
-	pl, err := s.planBody(body)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if r.Header.Get("Accept") == NDJSONContentType {
-		s.streamSweep(w, r, pl, offset, limit)
-		return
-	}
-	items := make([]SweepItem, 0, 16)
-	stats, err := s.runPlan(r.Context(), pl, offset, limit, jobs.Interactive, nil, func(item SweepItem) error {
-		items = append(items, item)
-		return nil
-	}, nil)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	setSweepHeaders(w.Header(), stats)
-	WriteJSON(w, sweepResponse{Items: items})
-}
+// SweepRun streams one planned /v1/sweep range. It emits each point's
+// NDJSON line (newline-terminated, valid until emit returns) in grid
+// order, and calls stalled, when non-nil, whenever its next line is not
+// ready yet. emit and stalled are never called concurrently, nor after
+// the run returns. The stats' Points is the size of the range.
+type SweepRun func(ctx context.Context, emit func(line []byte) error, stalled func()) (SweepStats, error)
 
-// streamSweep writes one SweepItem per NDJSON line and reports
-// SweepStats as HTTP trailers. Lines are flushed to the client only
-// when the next point is not ready yet, and once before the handler
-// returns: a run of ready points (cache hits, a range evaluated in
-// parallel) leaves in as few writes as the response buffer allows,
-// while a line never waits on a point still computing, nor on
-// whatever runs after the handler. A request-context cancellation (the
-// client disconnected) is checked before every encode, so it
-// propagates into the sweep engine — and out of the shared evaluation
-// pool — promptly instead of whenever the next TCP write happens to
-// fail; any mid-stream abort terminates the stream with a flushed
-// {"error": ...} record rather than a silent truncation. A non-default
-// offset/limit streams just that contiguous grid range — byte-for-byte
-// the same lines a full-grid stream carries at those positions, which
-// is what lets a fabric coordinator merge worker ranges back into a
-// byte-identical single-node response.
-func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, pl *sweepPlan, offset, limit int) {
-	w.Header().Set("Trailer", HeaderSweepPoints+", "+HeaderSweepHits+", "+HeaderSweepMisses)
-	w.Header().Set("Content-Type", NDJSONContentType)
-	framed := r.Header.Get(HeaderSweepIntegrity) == IntegrityCRC32C
-	flusher, _ := w.(http.Flusher)
-	// Only written lines are flushed: a flush before the first line
-	// would commit the 200 status that an early error must replace.
-	unflushed := false
-	flush := func() {
-		if unflushed && flusher != nil {
-			flusher.Flush()
-		}
-		unflushed = false
+// SweepHandler serves the /v1/sweep contract over a line source; a
+// single node (NewServer) and a fabric coordinator differ only in the
+// plan they mount. plan turns the request body and its ?offset=&limit=
+// range (limit < 0 runs to the end of the grid) into the run that
+// streams it; a plan error is a 400. relay marks a source whose lines
+// were evaluated by other nodes: a run failing before its first line
+// is then a 502 rather than a 400, and the response carries no cache
+// counts, which only the evaluating nodes know.
+//
+// With Accept: application/x-ndjson the lines stream as they come and
+// the stats follow as HTTP trailers. Lines are flushed to the client
+// only when the run stalls, and once at the end: a run of ready points
+// (cache hits, a range evaluated in parallel, a merged burst of worker
+// lines) leaves in as few writes as the response buffer allows, while
+// a line never waits on a point still computing. A cancelled request
+// context is checked before every write, so a disconnected client
+// aborts the run promptly. A run failing after its first line ends the
+// stream with a flushed {"error": ...} record instead of a silent
+// truncation. HeaderSweepIntegrity frames every line with its CRC-32C.
+// A ranged stream carries byte-for-byte the lines a full-grid stream
+// carries at those positions, which is what lets a coordinator merge
+// worker ranges back into a byte-identical single-node response.
+//
+// Otherwise the lines are collected into the {"items": [...]} JSON
+// body, indented exactly as WriteJSON would indent the decoded items,
+// and the stats are sent as headers.
+func SweepHandler(plan func(body []byte, offset, limit int) (SweepRun, error), relay bool) http.HandlerFunc {
+	failStatus, trailers := http.StatusBadRequest, HeaderSweepPoints+", "+HeaderSweepHits+", "+HeaderSweepMisses
+	if relay {
+		failStatus, trailers = http.StatusBadGateway, HeaderSweepPoints
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	var frame []byte // reused integrity-framing scratch
-	wrote := false
-	stats, err := s.runPlan(r.Context(), pl, offset, limit, jobs.Interactive, nil, func(item SweepItem) error {
-		if err := r.Context().Err(); err != nil {
-			return err
+	setStats := func(h http.Header, stats SweepStats) {
+		h.Set(HeaderSweepPoints, strconv.Itoa(stats.Points))
+		if !relay {
+			h.Set(HeaderSweepHits, strconv.Itoa(stats.CacheHits))
+			h.Set(HeaderSweepMisses, strconv.Itoa(stats.CacheMisses))
 		}
-		buf.Reset()
-		if err := enc.Encode(item); err != nil {
-			return err
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST with a JSON body"))
+			return
 		}
-		line := buf.Bytes()
-		if framed {
-			frame = AppendFrameLine(frame[:0], line)
-			line = frame
-		}
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-		wrote, unflushed = true, true
-		return nil
-	}, flush)
-	if err != nil {
-		if !wrote {
+		offset, limit, err := rangeParams(r)
+		if err != nil {
 			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		// Mid-stream failure: the status line is already sent, so the
-		// error becomes the final NDJSON record, flushed so a still-
-		// connected client actually sees why the stream ended early.
-		// Error records are never integrity-framed (see integrity.go).
-		json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
-		unflushed = true
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid request: %w", err))
+			return
+		}
+		run, err := plan(body, offset, limit)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err)
+			return
+		}
+
+		if r.Header.Get("Accept") != NDJSONContentType {
+			items := append(make([]byte, 0, 4<<10), `{"items":[`...)
+			stats, err := run(r.Context(), func(line []byte) error {
+				if items[len(items)-1] != '[' {
+					items = append(items, ',')
+				}
+				items = append(items, line...)
+				return nil
+			}, nil)
+			if err != nil {
+				WriteError(w, failStatus, err)
+				return
+			}
+			var out bytes.Buffer
+			out.Grow(2 * len(items))
+			if err := json.Indent(&out, append(items, "]}"...), "", "  "); err != nil {
+				WriteError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+				return
+			}
+			out.WriteByte('\n')
+			setStats(w.Header(), stats)
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(out.Bytes())
+			return
+		}
+
+		w.Header().Set("Trailer", trailers)
+		w.Header().Set("Content-Type", NDJSONContentType)
+		framed := r.Header.Get(HeaderSweepIntegrity) == IntegrityCRC32C
+		flusher, _ := w.(http.Flusher)
+		// Only written lines are flushed: a flush before the first line
+		// would commit the 200 status that an early error must replace.
+		unflushed := false
+		flush := func() {
+			if unflushed && flusher != nil {
+				flusher.Flush()
+			}
+			unflushed = false
+		}
+		var frame []byte // reused integrity-framing scratch
+		wrote := false
+		stats, err := run(r.Context(), func(line []byte) error {
+			if err := r.Context().Err(); err != nil {
+				return err
+			}
+			if framed {
+				frame = AppendFrameLine(frame[:0], line)
+				line = frame
+			}
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
+			wrote, unflushed = true, true
+			return nil
+		}, flush)
+		if err != nil {
+			if !wrote {
+				WriteError(w, failStatus, err)
+				return
+			}
+			// The status line is already sent, so the error becomes the
+			// final NDJSON record.
+			writeErrorRecord(w, err.Error())
+			unflushed = true
+		}
+		setStats(w.Header(), stats)
+		flush()
 	}
-	setSweepHeaders(w.Header(), stats)
-	flush()
 }
 
-func setSweepHeaders(h http.Header, stats SweepStats) {
-	h.Set(HeaderSweepPoints, strconv.Itoa(stats.Points))
-	h.Set(HeaderSweepHits, strconv.Itoa(stats.CacheHits))
-	h.Set(HeaderSweepMisses, strconv.Itoa(stats.CacheMisses))
+// planSweep is the single-node /v1/sweep source: the body's cached
+// plan, run over the requested range at interactive priority.
+func (s *Service) planSweep(body []byte, offset, limit int) (SweepRun, error) {
+	pl, err := s.planBody(body)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, emit func(line []byte) error, stalled func()) (SweepStats, error) {
+		return s.runLines(ctx, pl, offset, limit, jobs.Interactive, nil, emit, stalled)
+	}, nil
 }
 
 // healthResponse is the /healthz body: liveness plus the service's

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -132,6 +134,8 @@ type SweepItem struct {
 // headers (not the body) so that repeated identical sweeps return
 // byte-identical bodies.
 type SweepStats struct {
+	// Points is the number of points in the evaluated range: the whole
+	// grid unless an offset or limit selected a sub-range.
 	Points      int
 	CacheHits   int
 	CacheMisses int
@@ -647,34 +651,47 @@ func (s *Service) evaluate(pt sweepPoint, runs int, spec engine.Precision, simWo
 // disconnected client does not keep burning CPU on the rest of the
 // grid).
 func (s *Service) SweepStream(ctx context.Context, req SweepRequest, emit func(SweepItem) error) (SweepStats, error) {
-	return s.SweepStreamFrom(ctx, req, 0, jobs.Interactive, nil, emit)
+	pl, err := s.plan(&req)
+	if err != nil {
+		return SweepStats{}, err
+	}
+	return s.runPlan(ctx, pl, 0, -1, jobs.Interactive, nil, emit, nil)
 }
 
-// SweepStreamFrom is the one execution engine behind both the
-// synchronous /v1/sweep path and the durable /v1/jobs path: it
-// evaluates the expanded grid from point `offset` on (the points
-// before it are already durable when a job resumes), admitting each
-// point to the service-wide priority pool at priority pr. onExpand, if
-// non-nil, receives the full grid size after validation and before any
-// evaluation; returning an error from it aborts the sweep. The emitted
-// item sequence is deterministic — grid order, content-keyed seeds —
-// so any suffix of it is bitwise reproducible from its offset.
-func (s *Service) SweepStreamFrom(ctx context.Context, req SweepRequest, offset int, pr jobs.Priority, onExpand func(total int) error, emit func(SweepItem) error) (SweepStats, error) {
-	return s.sweepRange(ctx, req, offset, -1, pr, onExpand, emit)
+// SweepLines is the service's one range entry for NDJSON consumers: it
+// plans the /v1/sweep request body (through the plan cache) and emits
+// the lines of the half-open point range [offset, offset+limit) of its
+// grid (limit < 0 selects the rest of the grid; a limit overshooting
+// the grid is truncated), admitting each point to the service-wide
+// priority pool at priority pr. start, if non-nil, receives the full
+// grid size after validation and before any evaluation; returning an
+// error from it aborts the sweep. The durable job executor resumes
+// through it from its durable offset, and a fabric coordinator runs
+// the ranges its fleet cannot serve through it. Per-point seeds are
+// content-keyed, never position-dependent, so any range's lines are
+// bitwise the same slice of a full single-node run.
+func (s *Service) SweepLines(ctx context.Context, body []byte, offset, limit int, pr jobs.Priority, start func(total int) error, emit func(line []byte) error) error {
+	pl, err := s.planBody(body)
+	if err != nil {
+		return err
+	}
+	_, err = s.runLines(ctx, pl, offset, limit, pr, start, emit, nil)
+	return err
 }
 
-// SweepStreamRange evaluates the half-open point range
-// [offset, offset+limit) of the request's grid (limit < 0 selects the
-// rest of the grid) in grid order. It is the worker side of the
-// distributed fabric: a coordinator partitions the grid's point keys
-// and dispatches each contiguous range to one worker through this
-// entry point, and because per-point seeds are content-keyed — never
-// position-dependent — the emitted items are bitwise identical to the
-// same slice of a single-node run. A limit overshooting the grid is
-// truncated, so a range dispatch and its grid agree on the boundary
-// without an extra round trip.
-func (s *Service) SweepStreamRange(ctx context.Context, req SweepRequest, offset, limit int, pr jobs.Priority, emit func(SweepItem) error) (SweepStats, error) {
-	return s.sweepRange(ctx, req, offset, limit, pr, nil, emit)
+// runLines is runPlan with each item encoded as its NDJSON line: the
+// one encoding of a sweep item, shared by the /v1/sweep response, the
+// job results file and a coordinator's degraded local execution.
+func (s *Service) runLines(ctx context.Context, pl *sweepPlan, offset, limit int, pr jobs.Priority, start func(total int) error, emit func(line []byte) error, stalled func()) (SweepStats, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	return s.runPlan(ctx, pl, offset, limit, pr, start, func(item SweepItem) error {
+		buf.Reset()
+		if err := enc.Encode(item); err != nil {
+			return err
+		}
+		return emit(buf.Bytes())
+	}, stalled)
 }
 
 // PointKeys returns the canonical content key of every grid point of
@@ -699,17 +716,6 @@ func (pl *sweepPlan) keys() []string {
 	return keys
 }
 
-// sweepRange is the shared range executor behind SweepStreamFrom
-// (limit < 0) and SweepStreamRange: it plans the request and runs the
-// range.
-func (s *Service) sweepRange(ctx context.Context, req SweepRequest, offset, limit int, pr jobs.Priority, onExpand func(total int) error, emit func(SweepItem) error) (SweepStats, error) {
-	pl, err := s.plan(&req)
-	if err != nil {
-		return SweepStats{}, err
-	}
-	return s.runPlan(ctx, pl, offset, limit, pr, onExpand, emit, nil)
-}
-
 // runPlan evaluates the points [offset, offset+limit) of a plan and
 // emits their items in grid order. It materialises only the requested
 // range, so a worker serving one range of a large grid — or a job
@@ -718,16 +724,16 @@ func (s *Service) sweepRange(ctx context.Context, req SweepRequest, offset, limi
 // stalled, if non-nil, runs on the emitting goroutine whenever the
 // next point is not ready yet: the streaming handler flushes there.
 func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int, pr jobs.Priority, onExpand func(total int) error, emit func(SweepItem) error, stalled func()) (SweepStats, error) {
-	stats := SweepStats{Points: pl.total}
 	if onExpand != nil {
 		if err := onExpand(pl.total); err != nil {
-			return stats, err
+			return SweepStats{}, err
 		}
 	}
 	points, err := pl.span(offset, limit)
 	if err != nil {
-		return stats, err
+		return SweepStats{}, err
 	}
+	stats := SweepStats{Points: len(points)}
 	runs, spec := pl.req.Runs, pl.req.precision()
 
 	ctx, cancel := context.WithCancel(ctx)

@@ -28,6 +28,11 @@ const sweepBody = `{
 	"seed": 42
 }`
 
+// sweepResponse is the non-streaming /v1/sweep body.
+type sweepResponse struct {
+	Items []SweepItem `json:"items"`
+}
+
 func sweepRequest() SweepRequest {
 	var req SweepRequest
 	if err := json.Unmarshal([]byte(sweepBody), &req); err != nil {

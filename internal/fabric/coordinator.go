@@ -482,10 +482,32 @@ func (c *Coordinator) SweepStreamFrom(ctx context.Context, request []byte, offse
 	return c.run(ctx, sweep, offset, total, emit, nil)
 }
 
+// planSweep is the coordinator's /v1/sweep source. The body is
+// normalized first, so the payload dispatched to every worker is the
+// canonical request and worker-side point keys are exactly the
+// coordinator's; the requested range then fans out across the fleet.
+func (c *Coordinator) planSweep(body []byte, offset, limit int) (api.SweepRun, error) {
+	sweep, err := c.cfg.Service.NormalizeSweep(body)
+	if err != nil {
+		return nil, err
+	}
+	end := len(sweep.Keys)
+	if offset > end {
+		return nil, fmt.Errorf("fabric: offset %d outside the %d-point grid", offset, end)
+	}
+	if limit >= 0 && offset+limit < end {
+		end = offset + limit
+	}
+	return func(ctx context.Context, emit func(line []byte) error, stalled func()) (api.SweepStats, error) {
+		return api.SweepStats{Points: end - offset}, c.run(ctx, sweep, offset, end, emit, stalled)
+	}, nil
+}
+
 // run dispatches grid points [from, to) of the normalized sweep and
-// merges their lines. flush, if non-nil, runs after each run of lines
-// the merger drains in one go, serialized with emit.
-func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, to int, emit func(line []byte) error, flush func()) error {
+// merges their lines. stalled, if non-nil, runs after each run of lines
+// the merger drains in one go — the next line is then not ready —
+// serialized with emit.
+func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, to int, emit func(line []byte) error, stalled func()) error {
 	if from >= to {
 		return nil
 	}
@@ -493,7 +515,7 @@ func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, 
 	defer cancel()
 
 	m := NewMerger(from, to, emit)
-	m.flush = flush
+	m.flush = stalled
 	s := &sched{cancel: cancel}
 	s.cond = sync.NewCond(&s.mu)
 	for _, rg := range c.ring.Ranges(sweep.Keys[from:to], from) {
@@ -531,7 +553,7 @@ func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.localLoop(ctx, s, m, sweep.Request)
+			c.localLoop(ctx, s, m, sweep.Canonical)
 		}()
 	}
 	wg.Wait()
@@ -607,13 +629,13 @@ func (c *Coordinator) workerLoop(ctx context.Context, s *sched, m *Merger, reque
 // fleet can no longer serve and runs them through the coordinator's
 // own Service. A local execution failure is terminal for the sweep —
 // there is no path more reliable left to retry on.
-func (c *Coordinator) localLoop(ctx context.Context, s *sched, m *Merger, req api.SweepRequest) {
+func (c *Coordinator) localLoop(ctx context.Context, s *sched, m *Merger, request []byte) {
 	for {
 		t := s.nextLocal(ctx, c.fleetDark)
 		if t == nil {
 			return
 		}
-		err := c.runLocal(ctx, s, m, req, t)
+		err := c.runLocal(ctx, s, m, request, t)
 		if err != nil && ctx.Err() == nil {
 			s.fail(fmt.Errorf("fabric: degraded local execution of range [%d, %d): %w", t.start, t.end, err))
 		}
@@ -621,12 +643,11 @@ func (c *Coordinator) localLoop(ctx context.Context, s *sched, m *Merger, req ap
 	}
 }
 
-// runLocal executes one claimed range in-process through the same
-// sweep path a worker runs, encoding each item exactly as
-// api.JobExecutor does — so degraded output stays byte-identical to
-// the fleet's. Priority is Batch: degraded bulk work must not starve
-// interactive point queries on the local pool.
-func (c *Coordinator) runLocal(ctx context.Context, s *sched, m *Merger, req api.SweepRequest, t *task) error {
+// runLocal executes one claimed range in-process through the line
+// source a worker serves (api.Service.SweepLines), so degraded output
+// stays byte-identical to the fleet's. Priority is Batch: degraded bulk
+// work must not starve interactive point queries on the local pool.
+func (c *Coordinator) runLocal(ctx context.Context, s *sched, m *Merger, request []byte, t *task) error {
 	s.mu.Lock()
 	start, end := t.start, t.end
 	s.mu.Unlock()
@@ -634,15 +655,9 @@ func (c *Coordinator) runLocal(ctx context.Context, s *sched, m *Merger, req api
 	if start = m.FirstGap(start, end); start >= end {
 		return nil
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
 	i := start
-	_, err := c.cfg.Service.SweepStreamRange(ctx, req, start, end-start, jobs.Batch, func(item api.SweepItem) error {
-		buf.Reset()
-		if err := enc.Encode(item); err != nil {
-			return err
-		}
-		if _, err := m.Add(i, buf.Bytes()); err != nil {
+	return c.cfg.Service.SweepLines(ctx, request, start, end-start, jobs.Batch, nil, func(line []byte) error {
+		if _, err := m.Add(i, line); err != nil {
 			return err
 		}
 		i++
@@ -650,14 +665,7 @@ func (c *Coordinator) runLocal(ctx context.Context, s *sched, m *Merger, req api
 		c.localPoints.Add(1)
 		return nil
 	})
-	return err
 }
-
-// errorRecord matches the {"error": ...} terminal NDJSON record a
-// worker emits when its stream aborts mid-range. A SweepItem line can
-// never start this way (its first field is "protocol"), and an
-// integrity-framed line starts with hex digits.
-var errorRecord = []byte(`{"error":`)
 
 // ErrCorruptLine marks a worker-delivered result line that failed
 // integrity verification. It fails the dispatch (the range retries on
@@ -729,7 +737,7 @@ func (c *Coordinator) dispatch(ctx context.Context, s *sched, m *Merger, request
 		if err != nil {
 			return true, fmt.Errorf("fabric: worker %s: stream ended %d points early: %w", worker, end-i, err)
 		}
-		if bytes.HasPrefix(framed, errorRecord) {
+		if api.IsErrorRecord(framed) {
 			return true, fmt.Errorf("fabric: worker %s: mid-stream abort: %s", worker, bytes.TrimSpace(framed))
 		}
 		line, err := api.UnframeLine(framed)

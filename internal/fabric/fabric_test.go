@@ -225,6 +225,16 @@ func TestFabricThreeNodeByteIdentical(t *testing.T) {
 	if !bytes.Equal(body, bytes.Join(want[5:12], nil)) {
 		t.Fatal("ranged HTTP body differs from the single-node slice")
 	}
+	// The points trailer counts the range, as a node's does; the cache
+	// counts are the workers' and are not announced.
+	if got := resp.Trailer.Get(api.HeaderSweepPoints); got != "7" {
+		t.Errorf("ranged points trailer = %q, want 7", got)
+	}
+	for _, h := range []string{api.HeaderSweepHits, api.HeaderSweepMisses} {
+		if _, ok := resp.Trailer[h]; ok {
+			t.Errorf("coordinator announces %s", h)
+		}
+	}
 
 	// Non-streaming JSON: byte-identical to the single-node response.
 	single := httptest.NewServer(api.NewServer(api.NewService(testOptions())))

@@ -28,7 +28,7 @@ import (
 //	GET    /v1/replica/status                term / leader / heartbeat age
 //
 // Checkpoint bodies reuse the sweep stream's CRC-32C line framing
-// (api.FrameLine): a byte flipped in flight fails the frame check on
+// (api.AppendFrameLine): a byte flipped in flight fails the frame check on
 // the replica and the write is rejected with 422 — the leader retries
 // with fresh bytes. Status codes are the protocol's vocabulary:
 //
