@@ -88,15 +88,25 @@ func NewCache(capacity int) *Cache {
 	return &Cache{lru: newLRU[string, SweepItem](capacity)}
 }
 
-// Get returns the cached item for key and marks it most recently used.
+// Get returns the cached item for key, marks it most recently used
+// and counts the lookup as a hit or a miss.
 func (c *Cache) Get(key string) (SweepItem, bool) {
-	item, ok := c.lru.get(key)
-	if ok {
+	item, ok := c.peek(key)
+	c.count(ok)
+	return item, ok
+}
+
+// peek is Get without the count: the sweep feeder may look a point up
+// twice and records its verdict once, with count.
+func (c *Cache) peek(key string) (SweepItem, bool) { return c.lru.get(key) }
+
+// count records one lookup verdict in the hit and miss counts.
+func (c *Cache) count(hit bool) {
+	if hit {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return item, ok
 }
 
 // Put stores the item under key, evicting the least recently used

@@ -39,26 +39,37 @@ func (s *Service) NormalizeJobRequest(request []byte) ([]byte, int, error) {
 	return canonical, pl.total, nil
 }
 
-// NormalizedSweep is a sweep request body made ready for fan-out by
-// one grid expansion.
+// NormalizedSweep is one range of a sweep request made ready for
+// fan-out by one plan of its grid.
 type NormalizedSweep struct {
 	// Canonical is the canonical request: the job content key, and the
 	// body a fabric coordinator dispatches to its workers.
 	Canonical []byte
-	// Keys is the canonical content key of every grid point, in grid
-	// order (as PointKeys returns them).
-	Keys []string
+	// Total is the number of points of the whole grid.
+	Total int
+	// Offset is the grid index of the range's first point, and Keys the
+	// canonical content key of each point of the range, in grid order
+	// (as PointKeys returns them for the whole grid).
+	Offset int
+	Keys   []string
 }
 
-// NormalizeSweep is NormalizeJobRequest plus the grid's point keys,
-// from one plan of the grid: what a fabric coordinator needs to
-// partition and dispatch a sweep.
-func (s *Service) NormalizeSweep(request []byte) (NormalizedSweep, error) {
+// NormalizeSweep is NormalizeJobRequest plus the point keys of the
+// grid range [offset, offset+limit) (limit < 0 runs to the end of the
+// grid), from one plan of the grid: what a fabric coordinator needs to
+// partition and dispatch that range. It builds the range's points
+// only, and checks the range as a node's /v1/sweep does, with the same
+// error.
+func (s *Service) NormalizeSweep(request []byte, offset, limit int) (NormalizedSweep, error) {
 	canonical, pl, err := s.normalize(request)
 	if err != nil {
 		return NormalizedSweep{}, err
 	}
-	return NormalizedSweep{Canonical: canonical, Keys: pl.keys()}, nil
+	lo, hi, err := pl.bounds(offset, limit)
+	if err != nil {
+		return NormalizedSweep{}, err
+	}
+	return NormalizedSweep{Canonical: canonical, Total: pl.total, Offset: lo, Keys: pl.keys(lo, hi)}, nil
 }
 
 // normalize strictly decodes and plans a sweep request body and

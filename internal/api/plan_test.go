@@ -213,7 +213,7 @@ func TestNormalizeSweepOneExpansion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sweep, err := svc.NormalizeSweep(body)
+		sweep, err := svc.NormalizeSweep(body, 0, -1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -221,9 +221,9 @@ func TestNormalizeSweepOneExpansion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(sweep.Canonical) != string(canonical) || len(sweep.Keys) != total {
-			t.Errorf("%s: NormalizeSweep = (%s, %d keys), NormalizeJobRequest = (%s, %d)",
-				name, sweep.Canonical, len(sweep.Keys), canonical, total)
+		if string(sweep.Canonical) != string(canonical) || len(sweep.Keys) != total || sweep.Total != total {
+			t.Errorf("%s: NormalizeSweep = (%s, %d keys of %d), NormalizeJobRequest = (%s, %d)",
+				name, sweep.Canonical, len(sweep.Keys), sweep.Total, canonical, total)
 		}
 		keys, err := svc.PointKeys(req)
 		if err != nil {
@@ -231,6 +231,16 @@ func TestNormalizeSweepOneExpansion(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sweep.Keys, keys) {
 			t.Errorf("%s: NormalizeSweep keys differ from PointKeys", name)
+		}
+		// A range carries the same keys at the same positions.
+		lo, n := total/3, total/2
+		ranged, err := svc.NormalizeSweep(body, lo, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranged.Offset != lo || ranged.Total != total || !reflect.DeepEqual(ranged.Keys, keys[lo:lo+n]) {
+			t.Errorf("%s: range [%d, %d) = offset %d, %d keys of %d; want the full grid's keys there",
+				name, lo, lo+n, ranged.Offset, len(ranged.Keys), ranged.Total)
 		}
 	}
 }

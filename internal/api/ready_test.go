@@ -88,19 +88,26 @@ func TestReadyReportsSaturationAndShedsSubmissions(t *testing.T) {
 	}
 
 	// Job 1 occupies the single runner (blocked at the gate), job 2
-	// fills the queue.
-	submit(1).Body.Close()
-	submit(2).Body.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := mgr.Stats(); st.Running == 1 && st.Queued == 1 {
-			break
+	// fills the queue. Job 2 is submitted only once job 1 has left the
+	// queue: submitted while job 1 still waits there, it would find
+	// the queue full and be shed.
+	waitStats := func(running, queued int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if st := mgr.Stats(); st.Running == running && st.Queued == queued {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("queue never reached %d running, %d queued: %+v", running, queued, mgr.Stats())
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never saturated: %+v", mgr.Stats())
-		}
-		time.Sleep(time.Millisecond)
 	}
+	submit(1).Body.Close()
+	waitStats(1, 0)
+	submit(2).Body.Close()
+	waitStats(1, 1)
 
 	// Saturated: /readyz is degraded-but-ready, /healthz is plain ok.
 	status, body := getReady(t, ts)
@@ -150,7 +157,7 @@ func TestReadyReportsSaturationAndShedsSubmissions(t *testing.T) {
 	// Draining the queue clears the degradation.
 	gate <- struct{}{}
 	gate <- struct{}{}
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		_, body := getReady(t, ts)
 		if !body.Degraded {

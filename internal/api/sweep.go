@@ -419,19 +419,31 @@ func (pl *sweepPlan) point(i int) sweepPoint {
 	}
 }
 
-// span materialises the grid range [offset, offset+limit); limit < 0,
-// or a limit overshooting the grid, runs to the grid's end.
-func (pl *sweepPlan) span(offset, limit int) ([]sweepPoint, error) {
+// bounds resolves the grid range [offset, offset+limit) to [lo, hi):
+// limit < 0, or a limit overshooting the grid, runs to the grid's end.
+// It is the one range check behind /v1/sweep on either tier and a
+// job's resume, so an offset past the grid fails with one message.
+func (pl *sweepPlan) bounds(offset, limit int) (lo, hi int, err error) {
 	if offset < 0 || offset > pl.total {
-		return nil, fmt.Errorf("api: resume offset %d outside the %d-point grid", offset, pl.total)
+		return 0, 0, fmt.Errorf("api: offset %d outside the %d-point grid", offset, pl.total)
 	}
-	n := pl.total - offset
-	if limit >= 0 && limit < n {
-		n = limit
+	hi = pl.total
+	if limit >= 0 && limit < hi-offset {
+		hi = offset + limit
 	}
-	points := make([]sweepPoint, n)
+	return offset, hi, nil
+}
+
+// span materialises the grid range [offset, offset+limit) (see
+// bounds).
+func (pl *sweepPlan) span(offset, limit int) ([]sweepPoint, error) {
+	lo, hi, err := pl.bounds(offset, limit)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]sweepPoint, hi-lo)
 	for i := range points {
-		points[i] = pl.point(offset + i)
+		points[i] = pl.point(lo + i)
 	}
 	return points, nil
 }
@@ -570,14 +582,11 @@ func fnv64(s string) uint64 {
 	return h.Sum64()
 }
 
-// evaluate computes one grid point, consulting the cache first. A
-// zero spec runs the historical fixed budget; an enabled spec runs the
-// adaptive-precision executor and additionally fills the RunsUsed /
-// CI95 echoes.
-func (s *Service) evaluate(pt sweepPoint, runs int, spec engine.Precision, simWorkers int) (SweepItem, bool, error) {
-	if item, ok := s.cache.Get(pt.key); ok {
-		return item, true, nil
-	}
+// evaluate computes one grid point that missed the cache and caches
+// it. A zero spec runs the historical fixed budget; an enabled spec
+// runs the adaptive-precision executor and additionally fills the
+// RunsUsed / CI95 echoes.
+func (s *Service) evaluate(pt sweepPoint, runs int, spec engine.Precision, simWorkers int) (SweepItem, error) {
 	p, pr := pt.req.Params, pt.req.Protocol
 	item := SweepItem{
 		Protocol:   pr.String(),
@@ -601,9 +610,9 @@ func (s *Service) evaluate(pt sweepPoint, runs int, spec engine.Precision, simWo
 			item.ModelWaste = 1
 			item.ModelLoss = core.FailureLoss(pr, p, pt.req.Phi, resolved.Period)
 			s.cache.Put(pt.key, item)
-			return item, false, nil
+			return item, nil
 		}
-		return SweepItem{}, false, fmt.Errorf("api: point %s: %w", pt.key, err)
+		return SweepItem{}, fmt.Errorf("api: point %s: %w", pt.key, err)
 	}
 	s.simPoints.Add(1)
 	// The compiled batch is keyed by the physical configuration (with
@@ -612,7 +621,7 @@ func (s *Service) evaluate(pt sweepPoint, runs int, spec engine.Precision, simWo
 	// sizes share one compilation — whatever the backend.
 	b, err := s.compiledBatch(batchKey(pt.eng.Name(), resolved), pt.eng, resolved)
 	if err != nil {
-		return SweepItem{}, false, fmt.Errorf("api: point %s: %w", pt.key, err)
+		return SweepItem{}, fmt.Errorf("api: point %s: %w", pt.key, err)
 	}
 	var row experiments.ValidationRow
 	if spec.Enabled() {
@@ -626,7 +635,7 @@ func (s *Service) evaluate(pt sweepPoint, runs int, spec engine.Precision, simWo
 		row, err = experiments.ValidateBatch(b, pt.seed, runs, simWorkers)
 	}
 	if err != nil {
-		return SweepItem{}, false, fmt.Errorf("api: point %s: %w", pt.key, err)
+		return SweepItem{}, fmt.Errorf("api: point %s: %w", pt.key, err)
 	}
 	item.Feasible = row.ModelWaste < 1
 	item.Period = row.Period
@@ -639,7 +648,7 @@ func (s *Service) evaluate(pt sweepPoint, runs int, spec engine.Precision, simWo
 	item.CompletedRate = row.CompletedRate
 	item.ImportanceFatal = row.ImportanceFatal
 	s.cache.Put(pt.key, item)
-	return item, false, nil
+	return item, nil
 }
 
 // SweepStream expands the request's grid, evaluates it across the
@@ -704,14 +713,14 @@ func (s *Service) PointKeys(req SweepRequest) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pl.keys(), nil
+	return pl.keys(0, pl.total), nil
 }
 
-// keys materialises every point of the plan for its key.
-func (pl *sweepPlan) keys() []string {
-	keys := make([]string, pl.total)
+// keys materialises the points [lo, hi) of the plan for their keys.
+func (pl *sweepPlan) keys(lo, hi int) []string {
+	keys := make([]string, hi-lo)
 	for i := range keys {
-		keys[i] = pl.point(i).key
+		keys[i] = pl.point(lo + i).key
 	}
 	return keys
 }
@@ -749,30 +758,40 @@ func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int,
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
-	// The feeder admits points to the shared pool in grid order: one
-	// blocking token per point (priority-ordered against every other
-	// in-flight sweep and job), plus opportunistically grabbed idle
-	// tokens so the batch executor can fan the point's runs out on a
-	// quiet machine — the concurrent simulation goroutines never exceed
-	// the service's Workers budget, whatever the number of in-flight
-	// requests.
+	// lead is a semaphore over the points admitted but not yet emitted:
+	// the feeder takes a slot per point, the emitter returns it once the
+	// point's item is out.
+	lead := make(chan struct{}, feederLead*s.pool.Capacity())
+	// The feeder admits points in grid order. A cached point is ready at
+	// once, with no token or goroutine. A miss claims its tokens from the
+	// shared pool (admit) and evaluates on a goroutine of its own, so the
+	// concurrent simulation goroutines never exceed the service's
+	// Workers budget, whatever the number of in-flight requests.
 	go func() {
-		for i := range points {
-			if err := s.pool.Acquire(ctx, pr); err != nil {
-				slots[i] = slot{err: err}
-				close(ready[i])
-				continue // ctx is dead; fail the rest without blocking
+		for i, pt := range points {
+			select {
+			case lead <- struct{}{}:
+			case <-ctx.Done():
 			}
-			held := 1
-			for held < runs && s.pool.TryAcquire() {
-				held++
+			if err := ctx.Err(); err != nil {
+				for ; i < len(points); i++ {
+					slots[i] = slot{err: err}
+					close(ready[i])
+				}
+				return
+			}
+			item, held, err := s.admit(ctx, pr, pt.key, pl.workers(pt))
+			if err != nil || held == 0 {
+				slots[i] = slot{item: item, cached: err == nil, err: err}
+				close(ready[i])
+				continue
 			}
 			go func(i, held int) {
-				item, cached, err := s.evaluate(points[i], runs, spec, held)
+				item, err := s.evaluate(points[i], runs, spec, held)
 				for j := 0; j < held; j++ {
 					s.pool.Release()
 				}
-				slots[i] = slot{item: item, cached: cached, err: err}
+				slots[i] = slot{item: item, err: err}
 				close(ready[i])
 			}(i, held)
 		}
@@ -802,8 +821,54 @@ func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int,
 		if err := emit(slots[i].item); err != nil {
 			return stats, err
 		}
+		<-lead
 	}
 	return stats, nil
+}
+
+// workers is how many workers point pt keeps busy at its widest round
+// (the fixed budget, or the adaptive cap), as its backend counts them.
+func (pl *sweepPlan) workers(pt sweepPoint) int {
+	widest := pl.req.Runs
+	if pl.req.TargetRelErr != 0 {
+		widest = pl.req.MaxRuns
+	}
+	return pt.eng.Workers(pt.req, widest)
+}
+
+// feederLead is how many points per pool token runPlan's feeder may
+// admit ahead of emission: enough to keep computing while the consumer
+// stalls (a job's checkpoint fsync), and a bound on the points a
+// consumer that went away still gets simulated.
+const feederLead = 2
+
+// admit is the feeder's cache lookup and token claim for one point. A
+// cached point takes no token (held 0). A miss waits for one token at
+// priority pr, then takes idle tokens up to want, the workers its
+// widest round keeps busy (sweepPlan.workers): claiming them here,
+// before the next point is admitted, spreads the point over every
+// idle core it can use, and leaves the rest to the points behind it.
+// The cache is looked up again once the first token is held, since a
+// duplicate earlier in the grid (DoubleBlocking's collapsed φ rows)
+// may have cached the point meanwhile; the cache counts one hit or
+// miss per point either way.
+func (s *Service) admit(ctx context.Context, pr jobs.Priority, key string, want int) (item SweepItem, held int, err error) {
+	item, hit := s.cache.peek(key)
+	if !hit {
+		if err := s.pool.Acquire(ctx, pr); err != nil {
+			return SweepItem{}, 0, err
+		}
+		if item, hit = s.cache.peek(key); hit {
+			s.pool.Release()
+		} else {
+			held = 1
+		}
+	}
+	s.cache.count(hit)
+	for held > 0 && held < want && s.pool.TryAcquire() {
+		held++
+	}
+	return item, held, nil
 }
 
 // Sweep is SweepStream collected into a slice, for the non-streaming

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/scenario"
 )
 
@@ -288,6 +290,86 @@ func TestSweepDoubleBlockingCollapses(t *testing.T) {
 		if !reflect.DeepEqual(item, items[0]) {
 			t.Errorf("collapsed points differ: %+v vs %+v", item, items[0])
 		}
+	}
+}
+
+// TestRunPlanClaimRule pins the pool tokens a sweep point takes: a
+// cached point none — it completes while every token is held
+// elsewhere — and a miss only the workers its widest round keeps busy:
+// one for a 2-run i.i.d. point, whose runs fill one lane group, but
+// one per run for a 4-run Weibull point on the scalar renewal path.
+func TestRunPlanClaimRule(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	svc := NewService(Options{Workers: 4})
+	req := sweepRequest()
+	req.Protocols, req.PhiFracs, req.MTBFs, req.Runs = []string{"DoubleNBL"}, []float64{0.5}, []float64{3600}, 2
+	if _, _, err := svc.Sweep(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := svc.pool.Acquire(ctx, jobs.Interactive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, stats, err := svc.Sweep(ctx, req)
+	for i := 0; i < 4; i++ {
+		svc.pool.Release()
+	}
+	if err != nil || stats.CacheHits != 1 {
+		t.Fatalf("cached sweep with every token held: stats %+v, err %v", stats, err)
+	}
+	if hits, misses := svc.Cache().Stats(); hits != 1 || misses != 1 {
+		t.Errorf("cache counted %d hits, %d misses over a miss and a hit", hits, misses)
+	}
+
+	claim := func(req SweepRequest) int {
+		t.Helper()
+		pl, err := svc.plan(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := pl.point(0)
+		_, held, err := svc.admit(ctx, jobs.Interactive, pt.key, pl.workers(pt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return held
+	}
+	fresh := req
+	fresh.Seed++
+	if held := claim(fresh); held != 1 {
+		t.Errorf("2-run i.i.d. point claimed %d tokens, want 1", held)
+	}
+	if !svc.pool.TryAcquire() {
+		t.Error("no token idle beside the 2-run point's")
+	}
+	svc.pool.Release()
+	svc.pool.Release()
+	weibull := fresh
+	weibull.Runs = 4
+	weibull.Scenario = scenario.Spec{Name: "Base", Law: "weibull", Shape: 0.7}
+	if held := claim(weibull); held != 4 {
+		t.Errorf("4-run Weibull point claimed %d tokens, want 4", held)
+	}
+	for i := 0; i < 4; i++ {
+		svc.pool.Release()
+	}
+}
+
+// TestCacheCountsEachPointOnce: the feeder may look a point up twice,
+// before its token and once it holds one, but the cache (and so
+// /healthz) counts one lookup per point: DoubleBlocking's three
+// collapsed φ rows on one worker are one miss and two hits.
+func TestCacheCountsEachPointOnce(t *testing.T) {
+	svc := NewService(Options{Workers: 1})
+	req := sweepRequest()
+	req.Protocols, req.PhiFracs, req.MTBFs = []string{"DoubleBlocking"}, []float64{0, 0.5, 1}, []float64{3600}
+	if _, _, err := svc.Sweep(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := svc.Cache().Stats(); hits != 2 || misses != 1 {
+		t.Errorf("cache counted %d hits, %d misses; want 2 and 1", hits, misses)
 	}
 }
 

@@ -172,3 +172,34 @@ func TestSweepPointsCountsRange(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepRangeErrorsMatchAcrossTiers: a bad /v1/sweep range is a 400
+// with one message whatever the tier, since both check it through the
+// same plan.
+func TestSweepRangeErrorsMatchAcrossTiers(t *testing.T) {
+	const body = `{"protocols": ["DoubleNBL", "Triple"], "phiFracs": [0.25, 0.75], "mtbfs": [3600, 7200], "tbase": 10000, "runs": 2}`
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) {
+			ts := httptest.NewServer(tier.serve(t, api.NewService(api.Options{})))
+			t.Cleanup(ts.Close)
+			for _, tc := range []struct{ query, want string }{
+				{"?offset=99", "api: offset 99 outside the 8-point grid"},
+				{"?offset=9&limit=1", "api: offset 9 outside the 8-point grid"},
+				{"?offset=-1", `api: offset "-1" must be a non-negative integer`},
+			} {
+				resp, err := http.Post(ts.URL+"/v1/sweep"+tc.query, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got struct {
+					Error string `json:"error"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusBadRequest || got.Error != tc.want {
+					t.Errorf("%s: status %d, error %q (%v); want 400 %q", tc.query, resp.StatusCode, got.Error, err, tc.want)
+				}
+			}
+		})
+	}
+}

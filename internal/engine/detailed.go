@@ -62,6 +62,10 @@ func NormalizeSubstrate(p core.Params, spares int, imageBytes int64) (int, int64
 	return n.Spares, n.ImageBytes
 }
 
+// Workers is one per run: the detailed engine runs one run per worker
+// at a time.
+func (Detailed) Workers(_ Request, runs int) int { return sim.Workers(runs, false) }
+
 // Compile precomputes the shared batch state via sim.CompileDetailed.
 func (Detailed) Compile(req Request) (Batch, error) {
 	b, err := sim.CompileDetailed(sim.DetailedConfig{

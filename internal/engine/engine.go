@@ -161,6 +161,10 @@ type Engine interface {
 	// period). The returned Batch is immutable and safe for concurrent
 	// use.
 	Compile(req Request) (Batch, error)
+	// Workers reports the most workers a batch of runs of the request
+	// keeps busy (sim.Workers over the executor the backend runs it
+	// on), so a caller sharing a worker budget claims no more.
+	Workers(req Request, runs int) int
 }
 
 // Batch is a compiled request: the unit the sweep engine caches and

@@ -47,6 +47,12 @@ func (Fast) Compile(req Request) (Batch, error) {
 	return &fastBatch{req: req, b: b, model: model}, nil
 }
 
+// Workers counts lane groups for i.i.d. batches, which run on the lane
+// kernel, and runs otherwise.
+func (Fast) Workers(req Request, runs int) int {
+	return sim.Workers(runs, req.simConfig().Lanes())
+}
+
 type fastBatch struct {
 	req   Request
 	b     *sim.Batch

@@ -125,6 +125,10 @@ func (r Request) multilevelConfig() (multilevel.Config, error) {
 	return mc, nil
 }
 
+// Workers is one per run: the composed runner executes one run per
+// worker at a time.
+func (Multilevel) Workers(_ Request, runs int) int { return sim.Workers(runs, false) }
+
 // Compile resolves any missing plan dimension, compiles the inner fast
 // batch at the resolved period, and precomputes the composition
 // constants.

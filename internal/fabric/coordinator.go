@@ -462,52 +462,41 @@ func (c *Coordinator) Executor() jobs.Executor {
 // SweepStreamFrom runs the request's grid from point `offset` on
 // across the worker fleet, emitting one NDJSON line per point in
 // canonical grid order — byte-identical to a single-node run of the
-// same request. It is the distributed twin of
-// api.Service.SweepStreamFrom and satisfies the same executor
-// contract.
+// same request. It is the distributed twin of the node's
+// api.Service.JobExecutor and satisfies the same executor contract.
 func (c *Coordinator) SweepStreamFrom(ctx context.Context, request []byte, offset int, start func(total int) error, emit func(line []byte) error) error {
-	sweep, err := c.cfg.Service.NormalizeSweep(request)
+	sweep, err := c.cfg.Service.NormalizeSweep(request, offset, -1)
 	if err != nil {
 		return err
 	}
-	total := len(sweep.Keys)
 	if start != nil {
-		if err := start(total); err != nil {
+		if err := start(sweep.Total); err != nil {
 			return err
 		}
 	}
-	if offset < 0 || offset > total {
-		return fmt.Errorf("fabric: resume offset %d outside the %d-point grid", offset, total)
-	}
-	return c.run(ctx, sweep, offset, total, emit, nil)
+	return c.run(ctx, sweep, emit, nil)
 }
 
 // planSweep is the coordinator's /v1/sweep source. The body is
 // normalized first, so the payload dispatched to every worker is the
 // canonical request and worker-side point keys are exactly the
-// coordinator's; the requested range then fans out across the fleet.
+// coordinator's; the requested range, the only part of the grid
+// planned, then fans out across the fleet.
 func (c *Coordinator) planSweep(body []byte, offset, limit int) (api.SweepRun, error) {
-	sweep, err := c.cfg.Service.NormalizeSweep(body)
+	sweep, err := c.cfg.Service.NormalizeSweep(body, offset, limit)
 	if err != nil {
 		return nil, err
 	}
-	end := len(sweep.Keys)
-	if offset > end {
-		return nil, fmt.Errorf("fabric: offset %d outside the %d-point grid", offset, end)
-	}
-	if limit >= 0 && offset+limit < end {
-		end = offset + limit
-	}
 	return func(ctx context.Context, emit func(line []byte) error, stalled func()) (api.SweepStats, error) {
-		return api.SweepStats{Points: end - offset}, c.run(ctx, sweep, offset, end, emit, stalled)
+		return api.SweepStats{Points: len(sweep.Keys)}, c.run(ctx, sweep, emit, stalled)
 	}, nil
 }
 
-// run dispatches grid points [from, to) of the normalized sweep and
-// merges their lines. stalled, if non-nil, runs after each run of lines
-// the merger drains in one go — the next line is then not ready —
-// serialized with emit.
-func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, to int, emit func(line []byte) error, stalled func()) error {
+// run dispatches the normalized range's points and merges their lines.
+// stalled, if non-nil, runs after each run of lines the merger drains
+// in one go — the next line is then not ready — serialized with emit.
+func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, emit func(line []byte) error, stalled func()) error {
+	from, to := sweep.Offset, sweep.Offset+len(sweep.Keys)
 	if from >= to {
 		return nil
 	}
@@ -518,7 +507,7 @@ func (c *Coordinator) run(ctx context.Context, sweep api.NormalizedSweep, from, 
 	m.flush = stalled
 	s := &sched{cancel: cancel}
 	s.cond = sync.NewCond(&s.mu)
-	for _, rg := range c.ring.Ranges(sweep.Keys[from:to], from) {
+	for _, rg := range c.ring.Ranges(sweep.Keys, from) {
 		t := &task{start: rg.Start, end: rg.Start + rg.Count, owner: rg.Worker, lastWorker: -1, progress: time.Now()}
 		s.tasks = append(s.tasks, t)
 		s.pending = append(s.pending, t)

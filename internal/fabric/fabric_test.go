@@ -460,6 +460,36 @@ func TestFabricBadRequest(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRangeCostIndependentOfGrid is the coordinator's O(range)
+// guard: planning a one-point range of a 3000-point grid allocates what
+// the same range of a 300-point grid does, give or take a constant
+// (5 protocols × 5 φ/R × 12 or 120 MTBFs; the larger body decodes into
+// a longer MTBF axis), since only the range's keys are built.
+func TestCoordinatorRangeCostIndependentOfGrid(t *testing.T) {
+	coord, err := New(Config{Service: api.NewService(testOptions()), Workers: []string{"http://worker.invalid"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(mtbfs int) float64 {
+		axis := make([]string, mtbfs)
+		for i := range axis {
+			axis[i] = fmt.Sprint(1800 + i)
+		}
+		body := []byte(`{"mtbfs":[` + strings.Join(axis, ",") + `],"tbase":10000,"runs":2}`)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := coord.planSweep(body, 7, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(12), allocs(120)
+	t.Logf("1-point range: %.0f allocs on the small grid, %.0f on the large one", small, large)
+	if large > small+8 {
+		t.Errorf("1-point range plan allocates %.0f times on the large grid vs %.0f on the small one: range cost grows with the grid",
+			large, small)
+	}
+}
+
 // TestFabricDispatchReusesConnections: a dispatch reads its response
 // to EOF, so the transport pools the connection and every later
 // dispatch to that worker reuses it. Each worker loop has at most one
@@ -483,7 +513,7 @@ func TestFabricDispatchReusesConnections(t *testing.T) {
 		body := fmt.Sprintf(`{"scenario":{"mtbf":1800},"tbase":10000,"runs":2,"seed":%d}`, seed)
 		canonical, want := singleNodeLines(t, body)
 		requireIdentical(t, collectDistributed(t, coord, canonical, 0), want)
-		sweep, err := coord.cfg.Service.NormalizeSweep(canonical)
+		sweep, err := coord.cfg.Service.NormalizeSweep(canonical, 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

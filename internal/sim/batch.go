@@ -42,11 +42,12 @@ type compiled struct {
 	nodeLaws []failure.Law
 }
 
-// iid reports whether the batch keeps the i.i.d. exponential platform
-// process — the precondition of the lane kernel's closed-form
-// fast-forward and batched sampling. Any law override or correlation
-// setting routes the batch through the scalar engine.
-func (c *compiled) iid() bool { return c.law == nil && c.corr.IID() }
+// Lanes reports whether batches of cfg execute through the lane
+// kernel: they keep the i.i.d. exponential platform process, the
+// precondition of its closed-form fast-forward and batched sampling.
+// Any law override or correlation setting routes a batch through the
+// scalar engine.
+func (cfg Config) Lanes() bool { return cfg.Law == nil && cfg.Correlation.IID() }
 
 // compileConfig validates cfg and computes the batch precomputation.
 func compileConfig(cfg Config) (compiled, error) {
@@ -131,17 +132,41 @@ type Batch struct {
 // allocations — for nearly every point.
 var lanePool sync.Pool
 
-// laneRunner returns a DefaultLaneWidth runner bound to b, from the
-// process-wide pool when one is free (aggregateLanes returns it when
-// the batch completes). b must be on the i.i.d. path. bind recomputes
-// everything derived from the batch and resetLane rewinds every
-// mutable bit per run, so reuse cannot leak state between batches.
-func (b *Batch) laneRunner() (*LaneRunner, error) {
-	if lr, ok := lanePool.Get().(*LaneRunner); ok {
+// laneRunner returns a DefaultLaneWidth runner bound to b, in exact
+// mode for the antithetic schedule (reflection must mirror the scalar
+// draw sequence exactly for the pairing, and the adaptive executor's
+// oracle tests, to hold) and in production mode otherwise. It comes
+// from the process-wide pool when one is free (releaseCrew returns it
+// when the batch completes). b must be on the i.i.d. path. bind
+// recomputes everything derived from the batch and resetLane rewinds
+// every mutable bit per run, so reuse cannot leak state between
+// batches.
+func (b *Batch) laneRunner(exact bool) (*LaneRunner, error) {
+	lr, ok := lanePool.Get().(*LaneRunner)
+	if ok {
 		lr.bind(b)
-		return lr, nil
+	} else {
+		var err error
+		if lr, err = b.NewLaneRunner(DefaultLaneWidth); err != nil {
+			return nil, err
+		}
 	}
-	return b.NewLaneRunner(DefaultLaneWidth)
+	lr.SetExact(exact)
+	return lr, nil
+}
+
+// releaseCrew returns the runners of a batch call — lr, which leads
+// it, last — to the pool, dropping the references so a pooled runner
+// holds none to another.
+func (lr *LaneRunner) releaseCrew() {
+	for i, w := range lr.crew {
+		lr.crew[i] = nil
+		if w != lr {
+			lanePool.Put(w)
+		}
+	}
+	lr.crew = lr.crew[:0]
+	lanePool.Put(lr)
 }
 
 // Compile validates cfg and precomputes the batch state shared by all

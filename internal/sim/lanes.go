@@ -55,6 +55,12 @@ import (
 // (antithetic pairs occupy adjacent lanes).
 const DefaultLaneWidth = 16
 
+// minLaneWidth is the narrowest group the batched executor splits a
+// chunk into when the chunk has fewer DefaultLaneWidth groups than
+// workers (see laneWidth), so that each goroutine still advances
+// enough lanes in lockstep for their dependency chains to overlap.
+const minLaneWidth = 8
+
 // waveConsts caches one period's additions — the exact operand
 // sequence of engine.replayPeriods — so the exact-mode wave cascade
 // and tail add the same bits as the scalar walk.
@@ -122,6 +128,15 @@ type LaneRunner struct {
 	// candidate is corrected against the exact bounds either way).
 	invPeriod     float64
 	invPeriodWork float64
+
+	// Batch-executor scratch (aggregateLanes), kept with the runner so
+	// that a pooled runner serves a batch without allocating: one
+	// group's seeds and reflection flags and, on the runner leading a
+	// call, the chunk's Result buffer and the call's other runners.
+	seeds []uint64
+	anti  []bool
+	buf   []Result
+	crew  []*LaneRunner
 }
 
 // NewLaneRunner returns a lane-batched runner of the given width.
@@ -130,7 +145,7 @@ type LaneRunner struct {
 // (the closed-form fast-forward assumes independent failures); callers
 // fall back to NewRunner.
 func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
-	if !b.c.iid() {
+	if !b.cfg.Lanes() {
 		return nil, fmt.Errorf("sim: lane runner requires the i.i.d. merged exponential failure path (no Law, no Correlation)")
 	}
 	if width < 1 || width > 1<<16 {
@@ -161,6 +176,8 @@ func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
 	lr.active = make([]int, 0, width)
 	lr.parked = make([]int, 0, width)
 	lr.keys = make([]uint64, 0, width)
+	lr.seeds = make([]uint64, width)
+	lr.anti = make([]bool, width)
 	lr.bind(b)
 	return lr, nil
 }

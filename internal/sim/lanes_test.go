@@ -310,14 +310,16 @@ func TestRunAntitheticSeededLaneMatchesScalar(t *testing.T) {
 		r := b.NewRunner()
 		return func(seed uint64, anti bool) (Result, error) { return r.RunAntithetic(seed, anti), nil }
 	}
-	for _, round := range []struct{ first, runs int }{{0, 64}, {64, 40}, {0, 300}} {
+	for _, round := range []struct{ first, runs int }{
+		{0, 64}, {64, 40}, {0, 300}, {0, 16}, {16, 16}, {32, 8}, {0, 2},
+	} {
 		var wantSeen []Result
 		want, err := AggregateAntithetic(7, round.first, round.runs, 2, newScalar,
 			func(r Result) { wantSeen = append(wantSeen, r) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3} {
+		for _, workers := range []int{1, 2, 3, 4} {
 			var seen []Result
 			got, err := b.RunAntitheticSeeded(7, round.first, round.runs, workers,
 				func(r Result) { seen = append(seen, r) })

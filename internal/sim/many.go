@@ -105,13 +105,8 @@ func RunManyWorkers(cfg Config, runs, workers int) (Aggregate, error) {
 // worker owns one reusable runner (kept across chunks), so the
 // steady-state simulation loop allocates nothing.
 func (b *Batch) RunManySeeded(base uint64, runs, workers int) (Aggregate, error) {
-	if b.c.iid() {
-		return b.aggregateLanes(runs, workers, false,
-			func(lo int, seeds []uint64, anti []bool) {
-				for i := range seeds {
-					seeds[i] = base + uint64(lo+i)
-				}
-			}, nil)
+	if b.cfg.Lanes() {
+		return b.aggregateLanes(base, 0, runs, workers, false, nil)
 	}
 	return AggregateSeeded(base, runs, workers, func(int) func(uint64) (Result, error) {
 		r := b.NewRunner()
@@ -130,15 +125,8 @@ func (b *Batch) RunManySeeded(base uint64, runs, workers int) (Aggregate, error)
 // executor routes through it.
 func (b *Batch) RunAntitheticSeeded(base uint64, first, runs, workers int,
 	observe func(Result)) (Aggregate, error) {
-	if b.c.iid() {
-		return b.aggregateLanes(runs, workers, true,
-			func(lo int, seeds []uint64, anti []bool) {
-				for i := range seeds {
-					j := first + lo + i
-					seeds[i] = base + uint64(j/2)
-					anti[i] = j&1 == 1
-				}
-			}, observe)
+	if b.cfg.Lanes() {
+		return b.aggregateLanes(base, first, runs, workers, true, observe)
 	}
 	return AggregateAntithetic(base, first, runs, workers,
 		func(int) func(uint64, bool) (Result, error) {
@@ -149,78 +137,73 @@ func (b *Batch) RunAntitheticSeeded(base uint64, first, runs, workers int,
 		}, observe)
 }
 
-// aggregateLanes is the lane-batched analogue of aggregateItems: items
-// [0, n) are dispatched in the same fixed chunks of aggChunkSize, each
-// chunk splits into whole lane groups of DefaultLaneWidth (the width
-// divides the chunk size, so group boundaries — and with them the
-// merge order — are identical to the scalar path's), workers claim
-// groups and run them through per-worker LaneRunners, and the buffered
-// Results fold in item order exactly as before. A lane Result is a
-// pure function of its seed (exact mode: bitwise the scalar Runner's;
-// production mode: statistically equivalent), so the Aggregate is
-// bitwise identical for any worker count either way.
-func (b *Batch) aggregateLanes(n, workers int, antithetic bool,
-	fill func(lo int, seeds []uint64, anti []bool), observe func(Result)) (Aggregate, error) {
+// Workers reports the most workers a batch of runs keeps busy, which
+// is what a caller sharing a worker budget should claim for it. On the
+// lane path (lanes) that is one per group of the narrowest split
+// laneWidth allows; the scalar, renewal and detailed executors run one
+// run per worker at a time, so elsewhere it is one per run. Both are
+// counted over one aggregation chunk, the most a batch runs at once.
+func Workers(runs int, lanes bool) int {
+	n := min(runs, aggChunkSize)
+	if lanes {
+		n = (n + minLaneWidth - 1) / minLaneWidth
+	}
+	return max(n, 1)
+}
+
+// laneWidth is the group width a chunk of n runs splits into over the
+// given workers: DefaultLaneWidth while the chunk has a full-width
+// group for every worker, otherwise the even width that spreads the
+// chunk over all of them, but never below minLaneWidth — a 16-run
+// round on two workers runs as two groups of 8.
+func laneWidth(n, workers int) int {
+	if (n+DefaultLaneWidth-1)/DefaultLaneWidth >= workers {
+		return DefaultLaneWidth
+	}
+	w := (n + workers - 1) / workers
+	return max(w+w&1, minLaneWidth)
+}
+
+// aggregateLanes is the lane-batched analogue of aggregateItems over
+// the global run indices [first, first+n): run j draws seed base+j or,
+// antithetic, seed base+j/2, reflected when j is odd. Items are
+// dispatched in the same fixed chunks of aggChunkSize, each chunk
+// splits into lane groups of laneWidth lanes, workers claim groups and
+// run them through pooled LaneRunners, and the buffered Results fold
+// in item order exactly as on the scalar path. A lane Result is a pure
+// function of its seed (exact mode: bitwise the scalar Runner's;
+// production mode: statistically equivalent), so neither the group
+// width nor the worker count changes a bit of the Aggregate: the chunk
+// boundaries and the Add order depend only on the run count. The
+// call's scratch lives with its pooled runners, so a batch of one
+// group allocates nothing.
+func (b *Batch) aggregateLanes(base uint64, first, n, workers int, antithetic bool,
+	observe func(Result)) (Aggregate, error) {
 	if n <= 0 {
 		return Aggregate{}, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, (n+DefaultLaneWidth-1)/DefaultLaneWidth)
-	if workers < 1 {
-		workers = 1
+	workers = min(workers, Workers(n, true))
+	lead, err := b.laneRunner(antithetic)
+	if err != nil {
+		return Aggregate{}, err
 	}
-	type laneWorker struct {
-		lr    *LaneRunner
-		seeds []uint64
-		anti  []bool
-	}
-	ws := make([]*laneWorker, workers)
-	defer func() {
-		for _, w := range ws {
-			if w != nil {
-				lanePool.Put(w.lr)
-			}
-		}
-	}()
-	for w := range ws {
-		lr, err := b.laneRunner()
+	lead.crew = append(lead.crew[:0], lead)
+	defer lead.releaseCrew()
+	for len(lead.crew) < workers {
+		lr, err := b.laneRunner(antithetic)
 		if err != nil {
 			return Aggregate{}, err
 		}
-		// The antithetic schedule runs in exact mode: reflection must
-		// mirror the scalar draw sequence exactly for the pairing (and
-		// the adaptive executor's oracle tests) to hold.
-		lr.SetExact(antithetic)
-		ws[w] = &laneWorker{lr: lr, seeds: make([]uint64, DefaultLaneWidth)}
-		if antithetic {
-			ws[w].anti = make([]bool, DefaultLaneWidth)
-		}
+		lead.crew = append(lead.crew, lr)
 	}
-	buf := make([]Result, min(aggChunkSize, n))
+	lead.buf = resize(lead.buf, min(aggChunkSize, n))
 	var total Aggregate
 	for lo := 0; lo < n; lo += aggChunkSize {
-		hi := min(lo+aggChunkSize, n)
-		span := buf[:hi-lo]
-		groups := (len(span) + DefaultLaneWidth - 1) / DefaultLaneWidth
-		err := runChunks(groups, workers,
-			func(w int) *laneWorker { return ws[w] },
-			func(w *laneWorker, g int) error {
-				gLo := g * DefaultLaneWidth
-				gHi := min(gLo+DefaultLaneWidth, len(span))
-				seeds := w.seeds[:gHi-gLo]
-				var anti []bool
-				if antithetic {
-					anti = w.anti[:gHi-gLo]
-				}
-				fill(lo+gLo, seeds, anti)
-				w.lr.RunBatch(seeds, anti, span[gLo:gHi])
-				return nil
-			})
-		if err != nil {
-			return Aggregate{}, err
-		}
+		span := lead.buf[:min(aggChunkSize, n-lo)]
+		runGroups(lead.crew, base, first+lo, laneWidth(len(span), workers), antithetic, span)
 		var part Aggregate
 		for j := range span {
 			part.Add(span[j])
@@ -231,6 +214,46 @@ func (b *Batch) aggregateLanes(n, workers int, antithetic bool,
 		total.Merge(part)
 	}
 	return total, nil
+}
+
+// runGroups fills span with the runs of global indices [j0,
+// j0+len(span)), split into groups of width lanes over the crew's
+// runners: inline when one runner suffices, so a one-group batch
+// starts no goroutine, and through runChunks otherwise.
+func runGroups(crew []*LaneRunner, base uint64, j0, width int, antithetic bool, span []Result) {
+	if len(crew) == 1 || len(span) <= width {
+		for lo := 0; lo < len(span); lo += width {
+			crew[0].runGroup(base, j0+lo, antithetic, span[lo:min(lo+width, len(span))])
+		}
+		return
+	}
+	groups := (len(span) + width - 1) / width
+	runChunks(groups, len(crew), func(w int) *LaneRunner { return crew[w] },
+		func(lr *LaneRunner, g int) error {
+			lo := g * width
+			lr.runGroup(base, j0+lo, antithetic, span[lo:min(lo+width, len(span))])
+			return nil
+		})
+}
+
+// runGroup runs the global run indices [j0, j0+len(out)) as one lane
+// group, seeding each lane as aggregateLanes describes.
+func (lr *LaneRunner) runGroup(base uint64, j0 int, antithetic bool, out []Result) {
+	seeds := lr.seeds[:len(out)]
+	var anti []bool
+	if antithetic {
+		anti = lr.anti[:len(out)]
+		for i := range seeds {
+			j := j0 + i
+			seeds[i] = base + uint64(j/2)
+			anti[i] = j&1 == 1
+		}
+	} else {
+		for i := range seeds {
+			seeds[i] = base + uint64(j0+i)
+		}
+	}
+	lr.RunBatch(seeds, anti, out)
 }
 
 // AggregateSeeded is the backend-agnostic batch executor behind
@@ -340,10 +363,11 @@ func aggregateItems(n, workers int,
 
 // runChunks dispatches work-item indices [0, n) to a pool of workers;
 // worker w operates on the state newWorker(w) returns (a reusable
-// Runner in the batch path). The first error cancels the dispatch:
-// every worker observes the stop flag before claiming its next item,
-// so a failing batch aborts promptly instead of the surviving workers
-// simulating the rest of it.
+// Runner in the batch path). The calling goroutine is worker 0, so a
+// dispatch starts workers-1 goroutines. The first error cancels the
+// dispatch: every worker observes the stop flag before claiming its
+// next item, so a failing batch aborts promptly instead of the
+// surviving workers simulating the rest of it.
 func runChunks[W any](n, workers int, newWorker func(w int) W, fn func(w W, item int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -359,28 +383,32 @@ func runChunks[W any](n, workers int, newWorker func(w int) W, fn func(w W, item
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	for i := 0; i < workers; i++ {
+	work := func(i int) {
+		w := newWorker(i)
+		for !stop.Load() {
+			item := int(next.Add(1)) - 1
+			if item >= n {
+				return
+			}
+			if err := fn(w, item); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+				stop.Store(true)
+				return
+			}
+		}
+	}
+	for i := 1; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := newWorker(i)
-			for !stop.Load() {
-				item := int(next.Add(1)) - 1
-				if item >= n {
-					return
-				}
-				if err := fn(w, item); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					stop.Store(true)
-					return
-				}
-			}
+			work(i)
 		}(i)
 	}
+	work(0)
 	wg.Wait()
 	return firstErr
 }

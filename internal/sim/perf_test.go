@@ -150,19 +150,47 @@ func TestAggregateMergeMatchesSequential(t *testing.T) {
 func TestRunManyWorkerCountBitwise(t *testing.T) {
 	cfg := perfConfig()
 	cfg.Tbase = 5e3
-	const runs = 600
-	ref, err := RunManyWorkers(cfg, runs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 5, 8} {
-		agg, err := RunManyWorkers(cfg, runs, workers)
+	for _, runs := range []int{600, 2, 16, 24} {
+		ref, err := RunManyWorkers(cfg, runs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(agg, ref) {
-			t.Fatalf("aggregate differs between 1 and %d workers:\n%+v\n%+v", workers, ref, agg)
+		for _, workers := range []int{2, 3, 5, 8} {
+			agg, err := RunManyWorkers(cfg, runs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(agg, ref) {
+				t.Fatalf("%d runs: aggregate differs between 1 and %d workers:\n%+v\n%+v", runs, workers, ref, agg)
+			}
 		}
+	}
+}
+
+// TestRunManySeededSmallBatchZeroAllocs pins the lane executor's
+// per-call scratch to its pooled runners: once the pool holds a
+// runner, a one-group batch (a 2-run fleet point) allocates nothing —
+// no worker slice, seed buffer, Result buffer, closure or goroutine.
+func TestRunManySeededSmallBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled runners at random under -race")
+	}
+	b, err := Compile(perfConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RunManySeeded(0, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	base := uint64(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		base += 2
+		if _, err := b.RunManySeeded(base, 2, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("2-run RunManySeeded allocates %.1f times per call, want 0", allocs)
 	}
 }
 
