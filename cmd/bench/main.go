@@ -8,7 +8,7 @@
 // every PR extends a comparable perf trajectory (BENCH_PR10.json is
 // this PR's committed snapshot). The lane-batched
 // kernel is reported per layer — runner_throughput (scalar oracle),
-// lane_exact (SoA + wave replay, bitwise-scalar), lane_fast_inverse
+// lane_exact (exact fast-forward, bitwise-scalar), lane_fast_inverse
 // (closed-form replay, inverse-CDF sampler) and engine_throughput
 // (production: closed-form replay + ziggurat) — so the committed
 // report decomposes the speedup.
@@ -127,7 +127,7 @@ func metric(name string, r testing.BenchmarkResult) Metric {
 // laneLayerMetric measures one configuration of the lane-batched
 // kernel on the fixed throughput workload, reported per run: compile
 // once, then drive full-width RunBatch calls. tune selects the layer
-// (exact wave replay, inverse-CDF sampler, or the production default).
+// (exact fast-forward, inverse-CDF sampler, or the production default).
 func laneLayerMetric(name string, short bool, tune func(*sim.LaneRunner)) Metric {
 	batch, err := sim.Compile(throughputConfig(short))
 	if err != nil {
@@ -171,9 +171,10 @@ func benchEngineThroughput(short bool) Metric {
 	return laneLayerMetric("engine_throughput", short, func(*sim.LaneRunner) {})
 }
 
-// benchLaneExact measures the exact-mode lane kernel: SoA walk, wave
-// replay and batched inverse-CDF sampling, bitwise identical to the
-// scalar Runner — the mode the antithetic/adaptive executor runs.
+// benchLaneExact measures the exact-mode lane kernel: the per-binade
+// exact fast-forward and batched inverse-CDF sampling, bitwise
+// identical to the scalar Runner — the mode the antithetic/adaptive
+// executor runs.
 func benchLaneExact(short bool) Metric {
 	return laneLayerMetric("lane_exact", short, func(lr *sim.LaneRunner) { lr.SetExact(true) })
 }

@@ -30,6 +30,18 @@ type compiled struct {
 	// period (= scheduleWork(period)); it lets advanceUntil fast-forward
 	// whole risk-idle periods in O(1) instead of walking segments.
 	periodWork float64
+	// clockAdds and workAdds are one fault-free period's additions in
+	// the stepwise walk's order: c1, seg2, seg3 on the clock and wc1,
+	// wc2, seg3 on the work level (wc1 is 0 for the double protocols,
+	// whose phase 1 does no work). Each is rounded and stored once, so
+	// a fused multiply-add cannot make the replay loop and the exact
+	// fast-forward add different values.
+	clockAdds, workAdds [3]float64
+	// clockStep and workStep cache the exact fast-forward's step for the
+	// binade each chain was last in. They are the one part a runner
+	// writes, on its own copy; every bind copies a batch's untouched
+	// block, so a rebound runner starts with an empty cache.
+	clockStep, workStep binadeStep
 	// impFatal is the first-order fatal-chain probability charged per
 	// observed failure (λ·risk for pairs, 2(λ·risk)² for triples).
 	impFatal float64
@@ -106,6 +118,14 @@ func compileConfig(cfg Config) (compiled, error) {
 		}
 	}
 	c.periodWork = c.scheduleWork(period)
+	c1 := phases.Ckpt1
+	c2 := c1 + phases.Ckpt2
+	var wc1 float64
+	if pr.IsTriple() {
+		wc1 = float64(c.exRate * c1)
+	}
+	c.clockAdds = [3]float64{c1, c2 - c1, period - c2}
+	c.workAdds = [3]float64{wc1, float64(c.exRate * (c2 - c1)), period - c2}
 	lr := p.Lambda() * c.risk
 	if c.group == 2 {
 		c.impFatal = lr
@@ -209,10 +229,18 @@ func (b *Batch) Config() Config {
 // Runners are not safe for concurrent use; create one per worker.
 func (b *Batch) NewRunner() *Runner {
 	r := &Runner{}
-	r.e.compiled = b.c
 	r.e.comp = make([]riskEntry, 0, 16)
-	r.e.initSource(nil)
+	r.bind(b)
 	return r
+}
+
+// bind points the runner at batch b: the engine is rebuilt from b's
+// compiled block and a fresh failure source, keeping only the risk
+// set's backing array, so a rebound runner produces the bits of
+// NewRunner on b.
+func (r *Runner) bind(b *Batch) {
+	r.e = engine{compiled: b.c, comp: r.e.comp[:0]}
+	r.e.initSource(nil)
 }
 
 // Runner executes simulations of one Batch, reusing all engine state

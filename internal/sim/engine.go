@@ -378,48 +378,136 @@ func (e *engine) advanceUntil(target float64) bool {
 
 // replayPeriods advances the timeline through as many full fault-free
 // periods as fit strictly before target without risking completion,
-// replicating the stepwise walk's float operations bit for bit: per
+// landing on the stepwise walk's bits: fastForward reproduces, per
 // period, phase 1 (work only for the triple protocols), phase 2, the
-// snapshot commit, and phase 3. Each period fits the remaining time
-// with an eps to spare, so the stepwise walk would never have clamped
-// a segment inside it; the work budget keeps two full periods of
-// headroom below Tbase — far more than any rounding drift — so the
-// completion instant is always resolved by the stepwise walk. The
-// caller guarantees no open risk window and no commit observer, so the
-// skipped commits reduce to snapshot bookkeeping (pending risk entries
-// can only be expired ones; the first skipped commit would have
-// cleared them). It reports whether any period was replayed.
+// snapshot commit and phase 3, in O(binades) instead of O(periods).
+// Each period fits the remaining time with an eps to spare, so the
+// stepwise walk would never have clamped a segment inside it; the work
+// budget keeps two full periods of headroom below Tbase — far more
+// than any rounding drift — so the completion instant is always
+// resolved by the stepwise walk. The caller guarantees no open risk
+// window and no commit observer, so the skipped commits reduce to
+// snapshot bookkeeping (pending risk entries can only be expired ones;
+// the first skipped commit would have cleared them). It reports
+// whether any period was replayed.
 func (e *engine) replayPeriods(target float64) bool {
-	if e.periodWork <= 0 {
+	workCap := e.tbase - 2*e.periodWork
+	if e.periodWork <= 0 || !(target-e.t >= e.period+workEps && e.work < workCap) {
 		return false
 	}
-	c1 := e.phases.Ckpt1
-	c2 := c1 + e.phases.Ckpt2
-	seg2 := c2 - c1
-	seg3 := e.period - c2
-	triple := e.pr.IsTriple()
-	workCap := e.tbase - 2*e.periodWork
-	replayed := false
-	for target-e.t >= e.period+workEps && e.work < workCap {
-		w0 := e.work
-		if triple {
-			e.work += e.exRate * c1
+	e.t, e.work, e.snapshotWork = e.fastForward(e.t, e.work, target, workCap)
+	e.periodStartWork = e.work
+	e.comp = e.comp[:0]
+	e.everCommitted = true
+	e.offset = 0
+	return true
+}
+
+// fastForward advances the clock t and the work level w through whole
+// fault-free periods for as long as the per-period replay loop
+//
+//	for target-t >= period+workEps && w < workCap {
+//		snap = w
+//		t += c1; t += seg2; t += seg3
+//		w += wc1; w += wc2; w += seg3
+//	}
+//
+// would run, and lands on that loop's bits. While t and w stay in their
+// binades every period adds the same exact step to each (binadeStep),
+// so j periods add j·step with no rounding. The jump count is a
+// candidate from the four bounds (time, work cap, the two binade tops),
+// corrected against the loop's own test at the exact t_j, w_j; the
+// test is monotone in j. Binade crossings, ties and zero run the loop
+// body for one period. It returns the clock, the work level and the
+// snapshot: the work level at the start of the last period.
+func (c *compiled) fastForward(t, w, target, workCap float64) (float64, float64, float64) {
+	limit := c.period + workEps
+	snap := w
+	ct, cw := &c.clockStep, &c.workStep
+	for target-t >= limit && w < workCap {
+		if e := math.Float64bits(t) >> 52; e != ct.exp {
+			ct.fill(e, &c.clockAdds)
 		}
-		e.t += c1
-		e.t += seg2
-		e.work += e.exRate * seg2
-		e.snapshotWork = w0
-		e.t += seg3
-		e.work += seg3
-		e.periodStartWork = e.work
-		replayed = true
+		if e := math.Float64bits(w) >> 52; e != cw.exp {
+			cw.fill(e, &c.workAdds)
+		}
+		var k int64
+		dt, dw := ct.step, cw.step
+		if dt > 0 && dw > 0 {
+			// jumps(j): period j+1 runs and ends inside both binades.
+			jumps := func(j int64) bool {
+				tj, wj := t+float64(j)*dt, w+float64(j)*dw
+				return target-tj >= limit && wj < workCap && tj+dt < ct.top && wj+dw < cw.top
+			}
+			k = int64(fmin(fmin((target-t-limit)*ct.inv+1, (workCap-w)*cw.inv),
+				fmin((ct.top-t)*ct.inv, (cw.top-w)*cw.inv)))
+			for k > 0 && !jumps(k-1) {
+				k--
+			}
+			for jumps(k) {
+				k++
+			}
+		}
+		if k == 0 {
+			snap = w
+			t += c.clockAdds[0]
+			t += c.clockAdds[1]
+			t += c.clockAdds[2]
+			w += c.workAdds[0]
+			w += c.workAdds[1]
+			w += c.workAdds[2]
+			continue
+		}
+		snap = w + float64(k-1)*dw
+		t += float64(k) * dt
+		w += float64(k) * dw
 	}
-	if replayed {
-		e.comp = e.comp[:0]
-		e.everCommitted = true
-		e.offset = 0
+	return t, w, snap
+}
+
+// binadeStep is what one period of a chain's additions (the clock's or
+// the work level's) adds to any x in the binade [2^e, 2^(e+1)). There
+// the float grid is fixed at u = ulp(x), so x + a rounds to x + RN_u(a)
+// for every addend a ≥ 0 whose a/u is not an exact tie (a tie would
+// round by x's parity), and a period adds exactly step = ΣRN_u(a) as
+// long as the sum stays below the binade's top.
+type binadeStep struct {
+	exp  uint64  // the binade, as x's biased exponent bits
+	step float64 // ΣRN_u(a); 0 when there is no exact step
+	inv  float64 // 1/step, for the count candidates
+	top  float64 // 2^(e+1)
+}
+
+// fill computes the step of binade exp. There is none — the caller
+// runs one period the stepwise way — when x is zero, tiny, not finite
+// or negative, when an addend is negative or ties, or when the addends
+// round to nothing.
+func (s *binadeStep) fill(exp uint64, adds *[3]float64) {
+	*s = binadeStep{exp: exp}
+	if exp <= 52 || exp >= 0x7ff {
+		return
 	}
-	return replayed
+	// r + 2^52 − 2^52 rounds r ∈ [0, 2^52) to an integer, ties to even.
+	const magic = 1 << 52
+	inv := math.Float64frombits((2098 - exp) << 52) // 1/u, exact
+	var n float64                                   // ΣRN_u(a)/u
+	for _, a := range adds {
+		r := a * inv
+		if !(r >= 0 && r < magic) {
+			return
+		}
+		q := r + magic - magic
+		if math.Abs(q-r) == 0.5 {
+			return
+		}
+		n += q
+	}
+	if n == 0 {
+		return
+	}
+	s.step = n * math.Float64frombits((exp-52)<<52)
+	s.inv = 1 / s.step
+	s.top = math.Float64frombits((exp + 1) << 52)
 }
 
 // crossBoundary applies the schedule transition at the end of phase

@@ -9,26 +9,25 @@ import (
 )
 
 // This file is the lane-batched kernel (DESIGN.md, "Lane kernel"): a
-// LaneRunner advances up to `width` independent runs in lockstep over
+// LaneRunner executes up to `width` independent runs of one batch over
 // structure-of-arrays state — per-lane clocks, accumulated work,
-// period offsets, prefetched next-failure times — so the dominant cost
-// of a healthy platform, replaying fault-free periods, becomes a
-// data-parallel pass over contiguous float64 slices whose per-lane
-// dependency chains overlap in the CPU pipeline instead of
-// serializing one timeline at a time.
+// period offsets, prefetched next-failure times — running the lanes to
+// completion one after another. What the batch buys is setup paid
+// once per group (one bind, one pooled runner) and failure events
+// sampled in per-lane batches; a fault-free stretch costs O(binades)
+// in exact mode and O(1) in production mode, so no pass runs across
+// lanes.
 //
 // The kernel has two replay modes with two contracts:
 //
 //   - exact mode (SetExact(true)): lane l with seed s produces a
 //     Result bitwise identical to Runner.Run(s) (and, antithetic, to
 //     RunAntithetic). Every method is a line-for-line port of
-//     engine.go operating on lane-indexed state; the period-replay
-//     fast-forward (engine.replayPeriods) is hoisted out of the
-//     per-lane walk into a wave pass (waveReplay) whose additions are
-//     the exact per-lane operand sequence, only interleaved across
-//     lanes for instruction-level parallelism. The antithetic
-//     executor (RunAntitheticSeeded) runs in this mode, so the
-//     adaptive rounds replay the scalar schedule bit for bit.
+//     engine.go operating on lane-indexed state; where the scalar
+//     walk calls engine.replayPeriods, the lane parks and stepLane
+//     fast-forwards it with the same compiled.fastForward. The
+//     antithetic executor (RunAntitheticSeeded) runs in this mode, so
+//     the adaptive rounds replay the scalar schedule bit for bit.
 //
 //   - production mode (the default): the fault-free fast-forward is
 //     computed in closed form — k whole periods collapse to two
@@ -57,28 +56,20 @@ const DefaultLaneWidth = 16
 
 // minLaneWidth is the narrowest group the batched executor splits a
 // chunk into when the chunk has fewer DefaultLaneWidth groups than
-// workers (see laneWidth), so that each goroutine still advances
-// enough lanes in lockstep for their dependency chains to overlap.
+// workers (see laneWidth). Lanes run one after another, so a narrow
+// group costs no more per run than a wide one; the floor bounds the
+// number of goroutines and group dispatches a small round pays for.
 const minLaneWidth = 8
-
-// waveConsts caches one period's additions — the exact operand
-// sequence of engine.replayPeriods — so the exact-mode wave cascade
-// and tail add the same bits as the scalar walk.
-type waveConsts struct {
-	c1, seg2, seg3 float64
-	wc1, wc2       float64
-	triple         bool
-}
 
 // advanceLane outcomes.
 const (
 	laneReached   = iota // timeline reached the advance target
 	laneCompleted        // work target reached; the run is done
-	laneParked           // scalar fast-forward condition hit; wave pending
+	laneParked           // exact lane at the fast-forward condition
 )
 
-// LaneRunner executes batches of up to `width` runs of one Batch in
-// lockstep. Like Runner it is single-goroutine and allocation-free in
+// LaneRunner executes batches of up to `width` runs of one Batch, one
+// lane after another. Like Runner it is single-goroutine and allocation-free in
 // steady state; create one per worker. It requires the merged
 // exponential failure path (Config.Law == nil) — renewal-law batches
 // fall back to the scalar Runner.
@@ -96,7 +87,6 @@ type LaneRunner struct {
 	snapshotWork    []float64
 	periodStartWork []float64
 	offset          []float64
-	target          []float64 // advance target of a parked lane
 
 	// Per-lane stall/re-execution and risk state.
 	md              []mode
@@ -117,11 +107,6 @@ type LaneRunner struct {
 	evNode  []int32
 	evPos   []int
 	us      []float64 // uniform scratch for one refill
-
-	active []int
-	parked []int
-	keys   []uint64   // exact-mode bulk worklist: packed (periods<<16 | lane) sort keys
-	wc     waveConsts // one period's additions, set once per batch
 
 	// Reciprocals of the period spans, precomputed for the replay
 	// period-count candidates (a multiply instead of a divide; the
@@ -157,7 +142,6 @@ func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
 	lr.snapshotWork = make([]float64, width)
 	lr.periodStartWork = make([]float64, width)
 	lr.offset = make([]float64, width)
-	lr.target = make([]float64, width)
 	lr.md = make([]mode, width)
 	lr.stallRemaining = make([]float64, width)
 	lr.reexecRemaining = make([]float64, width)
@@ -173,9 +157,6 @@ func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
 		lr.comp[l] = make([]riskEntry, 0, 16)
 	}
 	lr.evPos = make([]int, width)
-	lr.active = make([]int, 0, width)
-	lr.parked = make([]int, 0, width)
-	lr.keys = make([]uint64, 0, width)
 	lr.seeds = make([]uint64, width)
 	lr.anti = make([]bool, width)
 	lr.bind(b)
@@ -199,17 +180,6 @@ func (lr *LaneRunner) bind(b *Batch) {
 	if lr.periodWork > 0 {
 		lr.invPeriodWork = 1 / lr.periodWork
 	}
-	// The wave constants — one period's additions — are fixed per batch;
-	// computed exactly as engine.replayPeriods derives them so the
-	// exact-mode cascade and tail add the same bits as the scalar walk.
-	c1 := lr.phases.Ckpt1
-	c2 := c1 + lr.phases.Ckpt2
-	lr.wc.c1 = c1
-	lr.wc.seg2 = c2 - c1
-	lr.wc.seg3 = lr.period - c2
-	lr.wc.wc1 = lr.exRate * c1
-	lr.wc.wc2 = lr.exRate * lr.wc.seg2
-	lr.wc.triple = lr.pr.IsTriple()
 	for l := range lr.merged {
 		lr.merged[l] = *failure.NewMerged(lr.p.N, lr.p.M, &lr.streams[l])
 	}
@@ -270,13 +240,13 @@ func resize[T any](s []T, n int) []T {
 func (lr *LaneRunner) SetZiggurat(on bool) { lr.zig = on }
 
 // SetExact selects the replay mode. Exact mode replays fault-free
-// periods with the scalar engine's per-period addition sequence (the
-// wave pass) and the inverse-CDF sampler, making every lane Result
-// bitwise identical to Runner.RunAntithetic — the oracle contract the
-// antithetic/adaptive executor depends on for exact reflection.
-// Production mode (the default) uses the closed-form fast-forward and
-// the ziggurat sampler: statistically equivalent, still fully
-// deterministic per seed, and ~2× faster on healthy platforms.
+// periods with the scalar engine's fast-forward (the per-period
+// addition sequence, bit for bit) and the inverse-CDF sampler, making
+// every lane Result bitwise identical to Runner.RunAntithetic — the
+// oracle contract the antithetic/adaptive executor depends on for
+// exact reflection. Production mode (the default) uses the
+// closed-form fast-forward and the ziggurat sampler: statistically
+// equivalent, still fully deterministic per seed, and faster.
 func (lr *LaneRunner) SetExact(on bool) {
 	lr.exact = on
 	lr.zig = !on
@@ -295,27 +265,9 @@ func (lr *LaneRunner) RunBatch(seeds []uint64, anti []bool, out []Result) {
 	for l := 0; l < n; l++ {
 		lr.resetLane(l, seeds[l], anti != nil && anti[l])
 	}
-	active := lr.active[:0]
 	for l := 0; l < n; l++ {
-		active = append(active, l)
+		lr.stepLane(l)
 	}
-	for len(active) > 0 {
-		parked := lr.parked[:0]
-		j := 0
-		for _, l := range active {
-			if lr.stepLane(l) {
-				parked = append(parked, l)
-				active[j] = l
-				j++
-			}
-		}
-		active = active[:j]
-		lr.parked = parked
-		if len(parked) > 0 {
-			lr.waveReplay()
-		}
-	}
-	lr.active = active
 	copy(out, lr.res[:n])
 }
 
@@ -357,9 +309,10 @@ func (lr *LaneRunner) refill(l int) {
 
 // stepLane is the per-lane port of engine.run's loop: it advances lane
 // l through failures until the run finishes (completed, fatal, or
-// horizon-saturated — reported false) or the lane parks for a replay
-// wave (reported true).
-func (lr *LaneRunner) stepLane(l int) bool {
+// horizon-saturated). An exact lane that parks at the fast-forward
+// condition is replayed here and re-enters advanceLane with the same
+// target, which keeps advanceLane's loop free of calls.
+func (lr *LaneRunner) stepLane(l int) {
 	base := l * lr.bufLen
 	for {
 		evT := lr.evTime[base+lr.evPos[l]]
@@ -372,13 +325,14 @@ func (lr *LaneRunner) stepLane(l int) bool {
 		case laneCompleted:
 			lr.res[l].Completed = true
 			lr.finishLane(l)
-			return false
+			return
 		case laneParked:
-			return true
+			lr.replayLane(l, target)
+			continue
 		}
 		if !hasEv {
 			lr.finishLane(l) // horizon reached (saturated)
-			return false
+			return
 		}
 		node := int(lr.evNode[base+lr.evPos[l]])
 		lr.evPos[l]++
@@ -387,18 +341,20 @@ func (lr *LaneRunner) stepLane(l int) bool {
 		}
 		if lr.applyFailureLane(l, node) {
 			lr.finishLane(l) // fatal
-			return false
+			return
 		}
 	}
 }
 
 // advanceLane is the lane port of engine.advanceUntil. Where the
 // scalar engine calls replayPeriods, a production lane fast-forwards
-// in closed form and an exact lane parks for the wave pass: the guard
-// is the scalar condition plus replayPeriods' own first-iteration
-// conditions (periodWork > 0, work below the cap, a full period of
-// headroom), so at least one period always replays and an unguarded
-// lane proceeds stepwise exactly where the scalar walk would.
+// in closed form and an exact lane parks, for stepLane to replay it
+// with the scalar fastForward: the guard is the scalar condition plus
+// replayPeriods' own first-iteration conditions (periodWork > 0, work
+// below the cap, a full period of headroom), so at least one period
+// always replays and an unguarded lane proceeds stepwise exactly where
+// the scalar walk would. Parking instead of calling keeps this loop a
+// leaf without a stack frame.
 // The hot per-lane state lives in locals for the whole walk — one load
 // per field on entry, one store on exit — so the inner loop works on
 // registers instead of bounds-checked slice cells. Every float
@@ -423,7 +379,6 @@ func (lr *LaneRunner) advanceLane(l int, target float64) int {
 			if offset == 0 && lr.riskUntil[l] <= t && dt >= lr.period+workEps &&
 				lr.periodWork > 0 && work < lr.workCap {
 				if lr.exact {
-					lr.target[l] = target
 					lr.t[l], lr.work[l], lr.offset[l], lr.md[l] = t, work, offset, md
 					lr.stallRemaining[l], lr.reexecRemaining[l], lr.overlapRemain[l] = stall, reexec, overlap
 					return laneParked
@@ -579,169 +534,15 @@ func (lr *LaneRunner) canReplay(t0, w0, target float64, j int64) bool {
 	return target-tj >= lr.period+workEps && wj < lr.workCap
 }
 
-// waveReplay (exact mode only: production lanes fast-forward in closed
-// form and never park) replays fault-free periods for every parked
-// lane in two phases. The bulk phase computes, per lane, a conservative count of
-// periods that are certain to replay (the time and work headroom in
-// whole periods, minus a margin that dwarfs any floating-point drift)
-// and burns them in a register-blocked loop: four lanes' clocks and
-// work levels live in locals and advance together, so the four
-// add chains — each as latency-bound as the scalar walk's — overlap
-// in the CPU pipeline. The additions are the exact per-lane operand
-// sequence of engine.replayPeriods (snapshot bookkeeping deferred:
-// only the final snapshot/period-start values are observable, and the
-// tail phase writes them), so the bits are unchanged. The tail phase
-// then runs the scalar replay loop verbatim per lane — the margin
-// guarantees it executes at least once, so the snapshot bookkeeping
-// and the exact exit condition are the scalar walk's — and applies
-// the replay epilogue (risk set cleared, everCommitted, offset 0)
-// before the lane resumes stepwise.
-func (lr *LaneRunner) waveReplay() {
-	c1, seg2, seg3 := lr.wc.c1, lr.wc.seg2, lr.wc.seg3
-	wc1, wc2 := lr.wc.wc1, lr.wc.wc2
-	triple := lr.wc.triple
-
-	// Bulk phase: certain whole periods, interleaved four lanes wide.
-	// bulkMargin periods are left for the tail on both the time and the
-	// work bound — far beyond the accumulated rounding drift of any
-	// pass (capped at 2²⁴ periods, drift stays below a fraction of one
-	// period), so the bulk count never overshoots the scalar loop's.
-	const bulkMargin = 3
-	const bulkCap = 1 << 24
-	parked := lr.parked
-	keys := lr.keys[:0]
-	for _, l := range parked {
-		kt := (lr.target[l] - lr.t[l]) * lr.invPeriod
-		kw := (lr.workCap - lr.work[l]) * lr.invPeriodWork
-		k := int64(fmin(kt, kw)) - bulkMargin
-		if k > bulkCap {
-			k = bulkCap
-		}
-		if k > 0 {
-			keys = append(keys, uint64(k)<<16|uint64(l))
-		}
-	}
-	// One descending sort on the packed (count, lane) keys groups lanes
-	// of similar depth, so a group wastes few dummy iterations on its
-	// shallower members.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] > keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	lr.waveBulkGo(keys)
-
-	// Tail phase: the scalar replay loop, verbatim, per lane.
-	limit := lr.period + workEps
-	for _, l := range parked {
-		t, work := lr.t[l], lr.work[l]
-		target := lr.target[l]
-		snap := lr.snapshotWork[l]
-		for target-t >= limit && work < lr.workCap {
-			w0 := work
-			if triple {
-				work += wc1
-			}
-			t += c1
-			t += seg2
-			work += wc2
-			snap = w0
-			t += seg3
-			work += seg3
-		}
-		lr.t[l], lr.work[l] = t, work
-		lr.snapshotWork[l] = snap
-		lr.periodStartWork[l] = work
-		lr.comp[l] = lr.comp[l][:0]
-		lr.everCommitted[l] = true
-		lr.offset[l] = 0
-	}
-}
-
-// waveBulkGo is the exact-mode bulk cascade: groups of four lanes
-// advance in manually interleaved locals, so the four add chains
-// overlap in the pipeline; a lane whose count is exhausted writes back
-// at its bound while its slot keeps running as a discarded dummy.
-func (lr *LaneRunner) waveBulkGo(keys []uint64) {
-	c1, seg2, seg3 := lr.wc.c1, lr.wc.seg2, lr.wc.seg3
-	wc1, wc2 := lr.wc.wc1, lr.wc.wc2
-	triple := lr.wc.triple
-	for lo := 0; lo < len(keys); lo += 4 {
-		g := keys[lo:min(lo+4, len(keys))]
-		lA := int(g[0] & 0xFFFF)
-		lB, lC, lD := -1, -1, -1
-		tA, wA := lr.t[lA], lr.work[lA]
-		tB, wB := tA, wA
-		tC, wC := tA, wA
-		tD, wD := tA, wA
-		kA := int64(g[0] >> 16)
-		kB, kC, kD := int64(0), int64(0), int64(0)
-		if len(g) > 1 {
-			lB = int(g[1] & 0xFFFF)
-			tB, wB = lr.t[lB], lr.work[lB]
-			kB = int64(g[1] >> 16)
-		}
-		if len(g) > 2 {
-			lC = int(g[2] & 0xFFFF)
-			tC, wC = lr.t[lC], lr.work[lC]
-			kC = int64(g[2] >> 16)
-		}
-		if len(g) > 3 {
-			lD = int(g[3] & 0xFFFF)
-			tD, wD = lr.t[lD], lr.work[lD]
-			kD = int64(g[3] >> 16)
-		}
-		for i := int64(0); i < kA; i++ {
-			if i == kD && lD >= 0 {
-				lr.t[lD], lr.work[lD] = tD, wD
-				lD = -1
-			}
-			if i == kC && lC >= 0 {
-				lr.t[lC], lr.work[lC] = tC, wC
-				lC = -1
-			}
-			if i == kB && lB >= 0 {
-				lr.t[lB], lr.work[lB] = tB, wB
-				lB = -1
-			}
-			if triple {
-				wA += wc1
-				wB += wc1
-				wC += wc1
-				wD += wc1
-			}
-			tA += c1
-			tB += c1
-			tC += c1
-			tD += c1
-			tA += seg2
-			tB += seg2
-			tC += seg2
-			tD += seg2
-			wA += wc2
-			wB += wc2
-			wC += wc2
-			wD += wc2
-			tA += seg3
-			tB += seg3
-			tC += seg3
-			tD += seg3
-			wA += seg3
-			wB += seg3
-			wC += seg3
-			wD += seg3
-		}
-		lr.t[lA], lr.work[lA] = tA, wA
-		if lD >= 0 {
-			lr.t[lD], lr.work[lD] = tD, wD
-		}
-		if lC >= 0 {
-			lr.t[lC], lr.work[lC] = tC, wC
-		}
-		if lB >= 0 {
-			lr.t[lB], lr.work[lB] = tB, wB
-		}
-	}
+// replayLane fast-forwards a parked exact lane through the fault-free
+// periods before target with the scalar engine's fastForward, and
+// applies the replay epilogue of engine.replayPeriods.
+func (lr *LaneRunner) replayLane(l int, target float64) {
+	t, w, snap := lr.fastForward(lr.t[l], lr.work[l], target, lr.workCap)
+	lr.t[l], lr.work[l], lr.snapshotWork[l], lr.periodStartWork[l] = t, w, snap, w
+	lr.comp[l] = lr.comp[l][:0]
+	lr.everCommitted[l] = true
+	lr.offset[l] = 0
 }
 
 // commitLane is the lane port of engine.commit (lanes never carry a

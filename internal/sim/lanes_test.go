@@ -142,7 +142,10 @@ func TestLaneRunnerSamplerBatchInvariant(t *testing.T) {
 // per lane), shrinks and grows again, and the mode sequence runs
 // production, exact and antithetic batches in turn, so every mode
 // follows every other one — an antithetic batch followed by a
-// production batch included.
+// production batch included. The last two batches come from
+// tieRebindConfigs and run in the two exact modes: the second ties on
+// the float grid in a binade where the first does not, so replay state
+// kept across a rebind would show.
 func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
 	p := scenario.Base().Params
 	small := p.WithMTBF(150)
@@ -155,6 +158,7 @@ func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
 		{Protocol: core.DoubleBoF, Params: tiny, Phi: 0.5, Tbase: 1e4},
 		{Protocol: core.TripleNBL, Params: p.WithMTBF(300), Phi: 1, Tbase: 2e4, MaxSimTime: 2.4e4},
 	}
+	cfgs = append(cfgs, tieRebindConfigs(t)...)
 	const (
 		production = iota
 		exact
@@ -183,6 +187,10 @@ func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
 			}
 		} else {
 			rebound.bind(b)
+			if rebound.clockStep != (binadeStep{}) || rebound.workStep != (binadeStep{}) {
+				t.Fatalf("step %d: bind kept the previous batch's fast-forward steps %+v, %+v",
+					step, rebound.clockStep, rebound.workStep)
+			}
 		}
 		setMode(fresh, m)
 		setMode(rebound, m)
