@@ -6,12 +6,11 @@
 // coordination overhead, and the replication plane's quorum tax on the
 // durable job path — and writes a machine-readable JSON report, so
 // every PR extends a comparable perf trajectory (BENCH_PR10.json is
-// this PR's committed snapshot). The lane-batched
-// kernel is reported per layer — runner_throughput (scalar oracle),
-// lane_exact (exact fast-forward, bitwise-scalar), lane_fast_inverse
-// (closed-form replay, inverse-CDF sampler) and engine_throughput
-// (production: closed-form replay + ziggurat) — so the committed
-// report decomposes the speedup.
+// this PR's committed snapshot). The Monte-Carlo kernel is reported
+// twice — runner_throughput (the scalar Runner: stepwise replay,
+// inverse-CDF draws) and engine_throughput (the lane kernel:
+// closed-form replay, ziggurat draws) — so the committed report shows
+// what the lane kernel buys.
 //
 // Usage:
 //
@@ -124,11 +123,14 @@ func metric(name string, r testing.BenchmarkResult) Metric {
 	return m
 }
 
-// laneLayerMetric measures one configuration of the lane-batched
-// kernel on the fixed throughput workload, reported per run: compile
-// once, then drive full-width RunBatch calls. tune selects the layer
-// (exact fast-forward, inverse-CDF sampler, or the production default).
-func laneLayerMetric(name string, short bool, tune func(*sim.LaneRunner)) Metric {
+// benchEngineThroughput measures the production Monte-Carlo path: the
+// lane-batched SoA kernel with the closed-form fault-free fast-forward
+// and the ziggurat sampler — the per-run cost RunMany's workers pay —
+// reported per run: compile once, then drive full-width RunBatch
+// calls. Reports up to and including BENCH_PR6 measured sim.Run (a
+// compile plus one scalar run per call) under this name; the scalar
+// layer lives on as runner_throughput.
+func benchEngineThroughput(short bool) Metric {
 	batch, err := sim.Compile(throughputConfig(short))
 	if err != nil {
 		fatal(err)
@@ -137,7 +139,6 @@ func laneLayerMetric(name string, short bool, tune func(*sim.LaneRunner)) Metric
 	if err != nil {
 		fatal(err)
 	}
-	tune(lr)
 	w := lr.Width()
 	seeds := make([]uint64, w)
 	out := make([]sim.Result, w)
@@ -157,33 +158,7 @@ func laneLayerMetric(name string, short bool, tune func(*sim.LaneRunner)) Metric
 			b.ReportMetric(float64(total)/secs, "failures/sec")
 		}
 	})
-	return metric(name, res)
-}
-
-// benchEngineThroughput measures the production Monte-Carlo path: the
-// lane-batched SoA kernel with the closed-form fault-free fast-forward
-// and the ziggurat sampler — the per-run cost RunMany's workers pay.
-// Reports up to and including BENCH_PR6 measured sim.Run (a compile
-// plus one scalar run per call) under this name; the scalar layer
-// lives on as runner_throughput, and lane_exact / lane_fast_inverse
-// decompose the speedup per layer.
-func benchEngineThroughput(short bool) Metric {
-	return laneLayerMetric("engine_throughput", short, func(*sim.LaneRunner) {})
-}
-
-// benchLaneExact measures the exact-mode lane kernel: the per-binade
-// exact fast-forward and batched inverse-CDF sampling, bitwise
-// identical to the scalar Runner — the mode the antithetic/adaptive
-// executor runs.
-func benchLaneExact(short bool) Metric {
-	return laneLayerMetric("lane_exact", short, func(lr *sim.LaneRunner) { lr.SetExact(true) })
-}
-
-// benchLaneFastInverse measures the closed-form fast-forward with the
-// inverse-CDF sampler still in place — isolating the replay layer from
-// the ziggurat layer.
-func benchLaneFastInverse(short bool) Metric {
-	return laneLayerMetric("lane_fast_inverse", short, func(lr *sim.LaneRunner) { lr.SetZiggurat(false) })
+	return metric("engine_throughput", res)
 }
 
 // benchRunnerThroughput measures the compiled-batch kernel (the
@@ -766,12 +741,7 @@ type gatedBench struct {
 
 var gatedBenches = []gatedBench{
 	{name: "engine_throughput", measure: benchEngineThroughput, required: true},
-	// The lane layers and the batch aggregation ride the same kernel;
-	// not required: baselines older than PR 8 do not carry the lane
-	// rows, and PR 6's engine_throughput measured a different
-	// definition (sim.Run per call).
-	{name: "lane_exact", measure: benchLaneExact},
-	{name: "lane_fast_inverse", measure: benchLaneFastInverse},
+	// The batch aggregation rides the same lane kernel.
 	{name: "batch_runmany_2048", measure: benchBatchRunMany, relAllocs: true},
 	{name: "detailed_runner", measure: benchDetailedRunner, relAllocs: true},
 	// The job path allocates per submission (request decode, store
@@ -909,8 +879,6 @@ func main() {
 	}
 	for _, run := range []func(bool) Metric{
 		benchEngineThroughput,
-		benchLaneExact,
-		benchLaneFastInverse,
 		benchRunnerThroughput,
 		benchBatchRunMany,
 		benchDetailedRun,

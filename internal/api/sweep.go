@@ -117,9 +117,9 @@ type SweepItem struct {
 	// requests — fixed-budget responses keep their historical bytes —
 	// and RunsUsed is the reliable adaptiveness marker: it is present
 	// on every simulated adaptive point, while CI95 is additionally
-	// omitted in the degenerate zero-variance early stop (a point whose
-	// first round saw identical wastes reports an exact 0, which JSON
-	// omitempty elides).
+	// omitted when the pair wastes had zero variance (fewer than 2
+	// completed pairs, or identical wastes up to maxRuns: the point
+	// reports an exact 0, unconverged, which JSON omitempty elides).
 	RunsUsed int     `json:"runsUsed,omitempty"`
 	CI95     float64 `json:"ci95,omitempty"`
 	// FatalRate and CompletedRate are per-run frequencies;
@@ -767,6 +767,17 @@ func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int,
 	// shared pool (admit) and evaluates on a goroutine of its own, so the
 	// concurrent simulation goroutines never exceed the service's
 	// Workers budget, whatever the number of in-flight requests.
+	//
+	// An adaptive point runs short rounds, and a round split over
+	// several workers wakes its extra workers again at every round
+	// barrier: on a 2-vCPU node the second worker started 66–300 µs
+	// into rounds of 0.3–0.8 ms, and the claimed workers were busy 74 %
+	// of the time. So behind the range's first Capacity points, which
+	// start one after another on an idle pool and carry the stream's
+	// first lines, an adaptive point claims one worker, and the cores
+	// run whole points side by side. Splitting the head keeps the first
+	// line prompt: with every point on one worker, the first line
+	// waited for a core (perfbench first_result 1.8 → 9.5–10.4 ms).
 	go func() {
 		for i, pt := range points {
 			select {
@@ -780,7 +791,11 @@ func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int,
 				}
 				return
 			}
-			item, held, err := s.admit(ctx, pr, pt.key, pl.workers(pt))
+			want := pl.workers(pt)
+			if pl.req.TargetRelErr != 0 && i >= s.pool.Capacity() {
+				want = 1
+			}
+			item, held, err := s.admit(ctx, pr, pt.key, want)
 			if err != nil || held == 0 {
 				slots[i] = slot{item: item, cached: err == nil, err: err}
 				close(ready[i])

@@ -31,7 +31,11 @@ import (
 // The round schedule, the pairing and the stopping rule depend only on
 // the batch, the content-keyed base seed and the Precision spec —
 // never on the worker count or wall-clock — so adaptive points are as
-// deterministic (and as resumable) as fixed-budget ones.
+// deterministic (and as resumable) as fixed-budget ones. On the fast
+// backend's i.i.d. batches the rounds run on the lane kernel, whose
+// runs are statistically, not bitwise, equivalent to the scalar
+// Runner's: an adaptive point there estimates the same waste as the
+// scalar path, from different draws.
 
 // Precision is the adaptive stopping specification of one point.
 type Precision struct {
@@ -176,7 +180,17 @@ func RunAdaptive(b Batch, base uint64, spec Precision, workers int) (AdaptiveRes
 	var (
 		nextRun int
 		plain   sim.Result
+		// failedPairs counts the pair observations whose control is
+		// positive: pairs in which a completed half saw a failure.
+		failedPairs int
 	)
+	add := func(w, c float64) {
+		out.PairWaste.Add(w)
+		out.Controlled.Add(w, c)
+		if c > 0 {
+			failedPairs++
+		}
+	}
 	observe := func(res sim.Result) {
 		j := nextRun
 		nextRun++
@@ -186,22 +200,18 @@ func RunAdaptive(b Batch, base uint64, spec Precision, workers int) (AdaptiveRes
 		}
 		switch {
 		case plain.Completed && res.Completed:
-			w := (plain.Waste + res.Waste) / 2
-			c := (float64(plain.Failures) + float64(res.Failures)) / 2
-			out.PairWaste.Add(w)
-			out.Controlled.Add(w, c)
+			add((plain.Waste+res.Waste)/2, (float64(plain.Failures)+float64(res.Failures))/2)
 		case plain.Completed:
-			out.PairWaste.Add(plain.Waste)
-			out.Controlled.Add(plain.Waste, float64(plain.Failures))
+			add(plain.Waste, float64(plain.Failures))
 		case res.Completed:
-			out.PairWaste.Add(res.Waste)
-			out.Controlled.Add(res.Waste, float64(res.Failures))
+			add(res.Waste, float64(res.Failures))
 		}
 	}
 	// Batches implementing AntitheticRunner (the fast backend's
 	// lane-batched kernel) execute each round through it: the index
-	// mapping, chunking and observe order are identical, so the rounds
-	// — and with them the stopper's every decision — replay bitwise.
+	// mapping, chunking and observe order are AggregateAntithetic's, so
+	// the rounds — and with them the stopper's every decision — are
+	// bitwise independent of the worker count and the round split.
 	antiRunner, batched := b.(AntitheticRunner)
 	for target := spec.MinRuns; ; target = min(2*target, spec.MaxRuns) {
 		var (
@@ -221,12 +231,14 @@ func RunAdaptive(b Batch, base uint64, spec Precision, workers int) (AdaptiveRes
 		out.Agg.Merge(part)
 		out.RunsUsed = target
 		out.Rounds++
-		out.Estimate, out.CI95 = adaptiveEstimate(&out.PairWaste, &out.Controlled, useControl)
-		// Fewer than 2 pair observations (a fatal-heavy round) leaves the
-		// variance undefined — CI95 reads 0 there, which must not pass
-		// for precision. The legitimate zero-variance early stop
-		// (identical completed wastes) always carries ≥ 2 observations.
-		if out.PairWaste.N() >= 2 && out.CI95 <= spec.TargetRelErr*math.Abs(out.Estimate) {
+		out.Estimate, out.CI95 = adaptiveEstimate(&out.PairWaste, &out.Controlled,
+			useControl && failedPairs >= minFailedPairs)
+		// A CI of 0 is no precision. It reads 0 when fewer than 2 pairs
+		// completed (a fatal-heavy round) and when every pair's waste is
+		// identical (every pair fault-free at low failure pressure, where
+		// the rare failing pair is exactly what the estimate is missing):
+		// either way the variance is 0, and the point keeps running.
+		if out.PairWaste.Variance() > 0 && out.CI95 <= spec.TargetRelErr*math.Abs(out.Estimate) {
 			out.Converged = true
 			return out, nil
 		}
@@ -236,17 +248,29 @@ func RunAdaptive(b Batch, base uint64, spec Precision, workers int) (AdaptiveRes
 	}
 }
 
+// minFailedPairs is how many pairs must have seen a failure before the
+// control-variate CI may stand in for the pair-mean CI. With only a
+// few failing pairs, the waste is nearly an exact linear function of
+// the failure count (every fault-free pair shares one waste), so the
+// regression's residual variance — and the controlled CI — collapses
+// toward 0 long before the rare failing pairs are sampled well. At
+// M 86400 s and tbase 1e4 (target 0.08) that stopped the median point
+// after 16 runs, with a −17 % mean bias and 38 % coverage; with this
+// floor the median point runs 512, the bias is −0.3 % and coverage
+// 0.89 (TestRunAdaptiveCoverageLowPressure).
+const minFailedPairs = 8
+
 // adaptiveEstimate picks the tighter of the pair-mean and the
 // regression-adjusted waste estimate. Both are computed over mutually
 // independent per-pair observations, so both CIs are valid; the
-// controlled estimator additionally needs a few pairs before β̂ means
-// anything (and a control that varied at all) — until then the
-// pair-mean stands. Both branches are deterministic functions of the
+// controlled estimator is considered only when the caller allows it
+// (a model control exists and enough pairs saw a failure for β̂ to
+// mean anything). Both branches are deterministic functions of the
 // accumulated moments, so the choice — like everything else in the
 // stopper — replays bitwise.
 func adaptiveEstimate(pairs *stats.Sample, ctrl *stats.Controlled, useControl bool) (est, ci float64) {
 	est, ci = pairs.Mean(), pairs.CI95()
-	if !useControl || ctrl.N() < 8 {
+	if !useControl {
 		return est, ci
 	}
 	if cci := ctrl.CI95(); cci < ci {

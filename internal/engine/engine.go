@@ -192,9 +192,9 @@ type Runner interface {
 }
 
 // ManyRunner is the optional batched executor a Batch may implement:
-// a backend-owned RunMany that produces the exact Aggregate the
-// generic per-seed path would (bitwise, for any worker count) through
-// a faster engine. The fast backend implements it with the
+// a backend-owned RunMany through a faster engine, statistically
+// equivalent to the generic per-seed path and bitwise independent of
+// the worker count. The fast backend implements it with the
 // lane-batched SoA kernel (sim.LaneRunner).
 type ManyRunner interface {
 	RunManySeeded(base uint64, runs, workers int) (sim.Aggregate, error)
@@ -202,9 +202,12 @@ type ManyRunner interface {
 
 // AntitheticRunner is ManyRunner's antithetic-schedule counterpart,
 // the optional fast path of the adaptive executor's rounds. The
-// contract matches sim.AggregateAntithetic: run j draws seed
-// base+j/2, reflected when odd, and observe sees every Result once in
-// run-index order.
+// schedule matches sim.AggregateAntithetic: run j draws seed base+j/2,
+// reflected when odd, observe sees every Result once in run-index
+// order, and the Aggregate is bitwise independent of the worker count
+// and the round split. The Results themselves need only be
+// statistically equivalent to the batch's Runner: the fast backend
+// runs them on the lane kernel.
 type AntitheticRunner interface {
 	RunAntitheticSeeded(base uint64, first, runs, workers int,
 		observe func(sim.Result)) (sim.Aggregate, error)
@@ -215,8 +218,7 @@ type AntitheticRunner interface {
 // aggregation: the Aggregate is bitwise independent of the worker
 // count for every backend, which is what lets the sweep cache treat
 // backends uniformly. Batches implementing ManyRunner (the fast
-// backend's lane-batched kernel) execute through it — same Aggregate,
-// bit for bit. A per-run error (the detailed engine's fatality
+// backend's lane-batched kernel) execute through it. A per-run error (the detailed engine's fatality
 // cross-check) cancels the remaining dispatch.
 func RunMany(b Batch, base uint64, runs, workers int) (sim.Aggregate, error) {
 	if mr, ok := b.(ManyRunner); ok {

@@ -75,7 +75,8 @@ func (b *fastBatch) RunManySeeded(base uint64, runs, workers int) (sim.Aggregate
 }
 
 // RunAntitheticSeeded implements AntitheticRunner with the same lane
-// kernel; antithetic pairs occupy adjacent lanes.
+// kernel; antithetic pairs occupy adjacent lanes. Renewal-law and
+// correlated batches run the scalar Runner inside sim.
 func (b *fastBatch) RunAntitheticSeeded(base uint64, first, runs, workers int,
 	observe func(sim.Result)) (sim.Aggregate, error) {
 	return b.b.RunAntitheticSeeded(base, first, runs, workers, observe)

@@ -140,37 +140,13 @@ func (m *Merged) Reseed(seed uint64) {
 	m.stream.Reseed(seed)
 }
 
-// FillEvents fills times/nodes with the next len(times) platform
-// failures — exactly the sequence len(times) Next calls would produce,
-// bit for bit. The stream is consumed in the same per-event order as
-// Next (inter-arrival uniform, then victim), but the logs are deferred
-// to one batched pass over the buffered uniforms (rng.ExpFromUniforms)
-// so they pipeline at throughput instead of serializing per event, and
-// the cumulative clock is summed afterwards in event order. us is
-// caller-owned scratch of len(times) (the lane kernel reuses one
-// buffer across refills). nodes and us must be at least len(times)
+// FillEventsZiggurat fills times/nodes with the next len(times)
+// platform failures, drawing the inter-arrival times from the
+// log-free ziggurat sampler instead of Next's inverse CDF: the same
+// distribution, a different stream consumption, so the event sequence
+// is statistically — not bitwise — equivalent to Next's. It is the
+// lane kernel's per-lane refill; nodes must be at least len(times)
 // long.
-func (m *Merged) FillEvents(times []float64, nodes []int32, us []float64) {
-	n := len(times)
-	nodes, us = nodes[:n], us[:n]
-	for k := range us {
-		us[k] = m.stream.PositiveFloat64()
-		nodes[k] = int32(m.stream.Intn(m.n))
-	}
-	rng.ExpFromUniforms(m.rate, us, us)
-	now := m.now
-	for k, dt := range us {
-		now += dt
-		times[k] = now
-	}
-	m.now = now
-}
-
-// FillEventsZiggurat is FillEvents drawing the inter-arrival times
-// from the ziggurat sampler instead of the inverse CDF: the same
-// distribution, a different (log-free) stream consumption, so the
-// event sequence is statistically — not bitwise — equivalent to the
-// Next/FillEvents sequence.
 func (m *Merged) FillEventsZiggurat(times []float64, nodes []int32) {
 	n := len(times)
 	nodes = nodes[:n]

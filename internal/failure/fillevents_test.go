@@ -6,40 +6,6 @@ import (
 	"repro/internal/rng"
 )
 
-// TestFillEventsMatchesNext pins the batched refill's contract: one
-// FillEvents call produces bit for bit the event sequence the same
-// number of Next calls would, including across refill boundaries and
-// for reflected streams — the stream is consumed in the identical
-// per-event order, only the log evaluations are deferred.
-func TestFillEventsMatchesNext(t *testing.T) {
-	for _, reflected := range []bool{false, true} {
-		var sa, sb rng.Stream
-		sa.SetReflected(reflected)
-		sb.SetReflected(reflected)
-		a := NewMerged(100, 1800, &sa)
-		b := NewMerged(100, 1800, &sb)
-		a.Reseed(9)
-		b.Reseed(9)
-		const batch = 17
-		times := make([]float64, batch)
-		nodes := make([]int32, batch)
-		us := make([]float64, batch)
-		for refill := 0; refill < 5; refill++ {
-			a.FillEvents(times, nodes, us)
-			for k := 0; k < batch; k++ {
-				ev, ok := b.Next()
-				if !ok {
-					t.Fatal("merged source exhausted")
-				}
-				if times[k] != ev.Time || int(nodes[k]) != ev.Node {
-					t.Fatalf("reflected=%v refill %d event %d: batched (%v, %d) != Next (%v, %d)",
-						reflected, refill, k, times[k], nodes[k], ev.Time, ev.Node)
-				}
-			}
-		}
-	}
-}
-
 // TestFillEventsZigguratDeterministic: the ziggurat refill is a pure
 // function of the seed — equal seeds replay the exact event sequence,
 // and times are strictly increasing (a sanity bound on the clock

@@ -2,66 +2,32 @@ package rng
 
 import "math"
 
-// This file is the batched sampling layer behind the lane-batched
+// This file is the log-free sampler behind the lane-batched
 // simulation kernel (internal/sim, "Lane kernel" in DESIGN.md). The
 // scalar hot path draws one exponential inter-arrival time per failure
 // with Stream.Exponential, which puts one math.Log on the critical
-// path of every event: the log's result feeds the event time, the
-// event time picks the advance target, and nothing else can start
-// until it lands. Batching breaks that chain in two:
+// path of every event. The ziggurat (ExpZiggurat) accepts ~97.9% of
+// draws with a compare against a precomputed layer table and touches
+// math.Exp/math.Log only in the wedge and the tail. It consumes the
+// stream differently from the inverse CDF (one uint64 per attempt plus
+// rejection retries), so its draws are equal to Exponential's in
+// distribution, not in value.
 //
-//   - the stream work (PositiveFloat64 + whatever integer draws the
-//     caller interleaves, e.g. victim selection) is done for a whole
-//     buffer first, preserving the exact per-event stream consumption
-//     order of the scalar path;
-//   - the logs are then evaluated back to back over the buffered
-//     uniforms (ExpFromUniforms). The evaluations are mutually
-//     independent, so the CPU pipelines them at throughput instead of
-//     paying full latency per event.
-//
-// ExpFromUniforms performs bit-for-bit the operations of
-// Stream.Exponential on each uniform, so a batched consumer replays
-// the scalar path's variates exactly — the property the lane-kernel
-// equivalence tests pin down.
-//
-// The ziggurat sampler (ExpZiggurat) is the log-free alternative: it
-// accepts ~97.9% of draws with a compare against a precomputed layer
-// table and touches math.Exp/math.Log only in the wedge and tail. It
-// consumes the stream differently from the inverse-CDF path (one
-// uint64 per attempt plus rejection retries), so it changes the
-// failure sample (statistically, not in distribution) and weakens the
-// antithetic reflection from exact quantile mirroring to a layer-and-
-// position reflection — still strongly negatively correlated, but not
-// bitwise — which is why the antithetic executor stays on the
-// inverse-CDF path while the plain batched executor defaults to the
-// ziggurat.
-
-// PositiveFloat64 returns a uniform variate in (0, 1], the argument
-// shape a logarithm needs. It is the batched-sampling building block:
-// callers buffer the uniforms (interleaving any integer draws in
-// event order) and convert them with ExpFromUniforms afterwards,
-// keeping the stream consumption identical to calling Exponential
-// per event.
-func (s *Stream) PositiveFloat64() float64 { return s.positiveFloat64() }
-
-// ExpFromUniforms converts buffered positive uniforms into
-// exponential inter-arrival times: dst[i] = -log(us[i])/rate, the
-// exact float operations Stream.Exponential performs on the same
-// uniform. us and dst may alias (in-place conversion). The loop body
-// carries no cross-iteration dependency, so consecutive logs overlap
-// in the pipeline instead of serializing per event.
-func ExpFromUniforms(rate float64, us, dst []float64) {
-	if rate <= 0 {
-		panic("rng: ExpFromUniforms with non-positive rate")
-	}
-	if len(us) == 0 {
-		return
-	}
-	dst = dst[:len(us)]
-	for i, u := range us {
-		dst[i] = -math.Log(u) / rate
-	}
-}
+// Antithetic reflection. A reflected stream maps the layer index
+// i → 255−i and the within-layer position u → maxUniform−u, and its
+// wedge and tail uniforms are reflected by Float64 as everywhere else.
+// Each of these is the complement of the raw bits it reads: i is the
+// low 8 bits, u the high 53 bits, and maxUniform−u the high 53 bits
+// complemented. So a reflected draw is exactly the plain ziggurat run
+// on the complemented raw words (TestExpZigguratReflectionIsComplement
+// pins this bit for bit). Complementing a uniform uint64 is a
+// bijection, and whether a word feeds the ziggurat (complemented) or
+// an integer draw such as a victim choice (raw) is decided by the words
+// before it, so the words the algorithm sees are still i.i.d. uniform:
+// a reflected draw is exactly Exp(rate), not merely anticorrelated with
+// its plain twin. The pairing is weaker than the inverse CDF's exact
+// quantile mirror, because rejection retries may desynchronize the two
+// halves, but the correlation stays strongly negative.
 
 // Ziggurat tables for the Exp(1) density f(x) = e⁻ˣ, 256 layers
 // (Marsaglia & Tsang 2000). zigR is the base-strip boundary and zigV
@@ -98,9 +64,8 @@ func init() {
 // the rectangular core (~97.9% of draws), and only the wedge and the
 // analytic tail evaluate a transcendental. A reflected stream mirrors
 // both the layer index and the within-layer position (the raw uint64
-// sequence is untouched), which keeps antithetic pairs strongly
-// negatively correlated but not exactly quantile-reflected —
-// rejection retries may consume differently across the pair.
+// sequence is untouched); the draw is still exactly Exp(rate) (see the
+// file comment) and strongly negatively correlated with the plain one.
 func (s *Stream) ExpZiggurat(rate float64) float64 {
 	if rate <= 0 {
 		panic("rng: ExpZiggurat with non-positive rate")
@@ -141,7 +106,7 @@ func (s *Stream) expZig() float64 {
 }
 
 // FillExpZiggurat fills dst with Exponential(rate) ziggurat variates,
-// the batched refill used by the lane kernel's ziggurat mode.
+// the scalar loop verbatim.
 func (s *Stream) FillExpZiggurat(rate float64, dst []float64) {
 	if rate <= 0 {
 		panic("rng: FillExpZiggurat with non-positive rate")

@@ -152,27 +152,17 @@ type Batch struct {
 // allocations — for nearly every point.
 var lanePool sync.Pool
 
-// laneRunner returns a DefaultLaneWidth runner bound to b, in exact
-// mode for the antithetic schedule (reflection must mirror the scalar
-// draw sequence exactly for the pairing, and the adaptive executor's
-// oracle tests, to hold) and in production mode otherwise. It comes
-// from the process-wide pool when one is free (releaseCrew returns it
-// when the batch completes). b must be on the i.i.d. path. bind
-// recomputes everything derived from the batch and resetLane rewinds
-// every mutable bit per run, so reuse cannot leak state between
-// batches.
-func (b *Batch) laneRunner(exact bool) (*LaneRunner, error) {
-	lr, ok := lanePool.Get().(*LaneRunner)
-	if ok {
+// laneRunner returns a DefaultLaneWidth runner bound to b, from the
+// process-wide pool when one is free (releaseCrew returns it when the
+// batch completes). b must be on the i.i.d. path. bind recomputes
+// everything derived from the batch and resetLane rewinds every
+// mutable bit per run, so reuse cannot leak state between batches.
+func (b *Batch) laneRunner() (*LaneRunner, error) {
+	if lr, ok := lanePool.Get().(*LaneRunner); ok {
 		lr.bind(b)
-	} else {
-		var err error
-		if lr, err = b.NewLaneRunner(DefaultLaneWidth); err != nil {
-			return nil, err
-		}
+		return lr, nil
 	}
-	lr.SetExact(exact)
-	return lr, nil
+	return b.NewLaneRunner(DefaultLaneWidth)
 }
 
 // releaseCrew returns the runners of a batch call — lr, which leads

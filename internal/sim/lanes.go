@@ -14,35 +14,27 @@ import (
 // period offsets, prefetched next-failure times — running the lanes to
 // completion one after another. What the batch buys is setup paid
 // once per group (one bind, one pooled runner) and failure events
-// sampled in per-lane batches; a fault-free stretch costs O(binades)
-// in exact mode and O(1) in production mode, so no pass runs across
-// lanes.
+// sampled in per-lane batches.
 //
-// The kernel has two replay modes with two contracts:
+// The kernel has one mode. Every method is a port of engine.go onto
+// lane-indexed state, with two substitutions: a fault-free stretch of
+// k whole periods is fast-forwarded in closed form (two multiply-adds
+// instead of the scalar walk's k dependent add chains), and the
+// inter-arrival times come from the log-free ziggurat sampler
+// (rng.Stream.ExpZiggurat) instead of the inverse CDF. Results
+// therefore differ from the scalar Runner in accumulated rounding and
+// in the draw sequence: the equivalence is statistical (3σ tests on
+// every protocol family, plain and reflected). The path stays fully
+// deterministic: a fixed seed yields fixed bits, so the chunked
+// aggregation's worker-count independence is untouched. The plain
+// (RunManySeeded) and the antithetic (RunAntitheticSeeded) schedules
+// both run here; a reflected lane draws the ziggurat on the
+// complemented raw bits, which leaves its distribution exactly Exp(λ).
 //
-//   - exact mode (SetExact(true)): lane l with seed s produces a
-//     Result bitwise identical to Runner.Run(s) (and, antithetic, to
-//     RunAntithetic). Every method is a line-for-line port of
-//     engine.go operating on lane-indexed state; where the scalar
-//     walk calls engine.replayPeriods, the lane parks and stepLane
-//     fast-forwards it with the same compiled.fastForward. The
-//     antithetic executor (RunAntitheticSeeded) runs in this mode, so
-//     the adaptive rounds replay the scalar schedule bit for bit.
-//
-//   - production mode (the default): the fault-free fast-forward is
-//     computed in closed form — k whole periods collapse to two
-//     multiply-adds instead of k dependent add chains — and the
-//     inter-arrival sampler is the log-free ziggurat. Results then
-//     differ from the scalar oracle in accumulated rounding (and in
-//     the draw sequence), so the equivalence is statistical, but the
-//     path stays fully deterministic: a fixed seed yields fixed bits,
-//     so the worker-count-bitwise merge guarantee is untouched.
-//
-// In both modes failure events are prefetched per lane in batches
-// (failure.Merged.FillEvents), consuming the lane's stream in the
-// exact per-event order of the scalar path and deferring the logs to
-// one pipelined pass. Overdrawn events are discarded at the next
-// reset, which is harmless because each run reseeds its stream.
+// Failure events are prefetched per lane in batches
+// (failure.Merged.FillEventsZiggurat). Overdrawn events are discarded
+// at the next reset, which is harmless because each run reseeds its
+// stream.
 //
 // The tail is per-lane: runs finishing at different makespans leave
 // the active set individually, so a batch degrades gracefully to
@@ -61,13 +53,6 @@ const DefaultLaneWidth = 16
 // number of goroutines and group dispatches a small round pays for.
 const minLaneWidth = 8
 
-// advanceLane outcomes.
-const (
-	laneReached   = iota // timeline reached the advance target
-	laneCompleted        // work target reached; the run is done
-	laneParked           // exact lane at the fast-forward condition
-)
-
 // LaneRunner executes batches of up to `width` runs of one Batch, one
 // lane after another. Like Runner it is single-goroutine and allocation-free in
 // steady state; create one per worker. It requires the merged
@@ -77,8 +62,6 @@ type LaneRunner struct {
 	compiled
 	width   int
 	workCap float64 // tbase − 2·periodWork, the scalar replay work cap
-	zig     bool
-	exact   bool
 	bufLen  int
 
 	// SoA timeline state, indexed by lane.
@@ -106,7 +89,6 @@ type LaneRunner struct {
 	evTime  []float64 // width × bufLen, lane l owns [l·bufLen, (l+1)·bufLen)
 	evNode  []int32
 	evPos   []int
-	us      []float64 // uniform scratch for one refill
 
 	// Reciprocals of the period spans, precomputed for the replay
 	// period-count candidates (a multiply instead of a divide; the
@@ -165,11 +147,10 @@ func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
 
 // bind points the runner at batch b, which must be on the i.i.d.
 // path: every field derived from the compiled configuration is
-// recomputed, the modes return to the production defaults and the
-// sampler buffer is resized (resliced when its capacity allows). The
-// per-run state is rewound by resetLane anyway, so a rebound runner
-// produces the same bits as NewLaneRunner on b — which is what lets
-// one process-wide pool serve every batch.
+// recomputed and the sampler buffer is resized (resliced when its
+// capacity allows). The per-run state is rewound by resetLane anyway,
+// so a rebound runner produces the same bits as NewLaneRunner on b —
+// which is what lets one process-wide pool serve every batch.
 func (lr *LaneRunner) bind(b *Batch) {
 	lr.compiled = b.c
 	lr.workCap = lr.tbase - 2*lr.periodWork
@@ -183,7 +164,6 @@ func (lr *LaneRunner) bind(b *Batch) {
 	for l := range lr.merged {
 		lr.merged[l] = *failure.NewMerged(lr.p.N, lr.p.M, &lr.streams[l])
 	}
-	lr.SetExact(false) // production default; SetExact(true) restores inverse-CDF
 	lr.SetSamplerBatch(defaultSamplerBatch(lr.tbase, lr.p.M))
 }
 
@@ -209,7 +189,7 @@ func (lr *LaneRunner) Width() int { return lr.width }
 
 // SetSamplerBatch resizes the per-lane failure-event prefetch buffer.
 // It must be called between batches, not mid-run; n < 1 is clamped to
-// 1 (per-event refill, the no-batching diagnostic layer of cmd/bench).
+// 1 (per-event refill).
 func (lr *LaneRunner) SetSamplerBatch(n int) {
 	if n < 1 {
 		n = 1
@@ -217,7 +197,6 @@ func (lr *LaneRunner) SetSamplerBatch(n int) {
 	lr.bufLen = n
 	lr.evTime = resize(lr.evTime, lr.width*n)
 	lr.evNode = resize(lr.evNode, lr.width*n)
-	lr.us = resize(lr.us, n)
 }
 
 // resize returns s with length n, reusing its backing array when the
@@ -230,33 +209,11 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// SetZiggurat switches the inter-arrival sampler between the
-// inverse-CDF path (bitwise identical to the scalar engine) and the
-// log-free ziggurat (the production default). Ziggurat results are
-// statistically — not bitwise — equivalent, and antithetic pairing
-// weakens from exact quantile reflection to layer-and-position
-// mirroring, which is why SetExact turns it off. It is exposed so
-// cmd/bench can measure the layer in isolation.
-func (lr *LaneRunner) SetZiggurat(on bool) { lr.zig = on }
-
-// SetExact selects the replay mode. Exact mode replays fault-free
-// periods with the scalar engine's fast-forward (the per-period
-// addition sequence, bit for bit) and the inverse-CDF sampler, making
-// every lane Result bitwise identical to Runner.RunAntithetic — the
-// oracle contract the antithetic/adaptive executor depends on for
-// exact reflection. Production mode (the default) uses the
-// closed-form fast-forward and the ziggurat sampler: statistically
-// equivalent, still fully deterministic per seed, and faster.
-func (lr *LaneRunner) SetExact(on bool) {
-	lr.exact = on
-	lr.zig = !on
-}
-
 // RunBatch executes len(seeds) runs (at most Width) and writes their
 // Results to out in seed order. anti selects the reflected-uniform
-// failure sample per lane (nil = all plain). In exact mode out[l] is
-// bitwise Runner.RunAntithetic(seeds[l], anti[l]); in production mode
-// it is statistically equivalent and deterministic per seed.
+// failure sample per lane (nil = all plain). out[l] is statistically
+// equivalent to Runner.RunAntithetic(seeds[l], anti[l]) and a pure
+// function of (seeds[l], anti[l]).
 func (lr *LaneRunner) RunBatch(seeds []uint64, anti []bool, out []Result) {
 	n := len(seeds)
 	if n > lr.width {
@@ -297,21 +254,13 @@ func (lr *LaneRunner) resetLane(l int, seed uint64, antithetic bool) {
 // refill replenishes lane l's prefetched failure events.
 func (lr *LaneRunner) refill(l int) {
 	base := l * lr.bufLen
-	times := lr.evTime[base : base+lr.bufLen]
-	nodes := lr.evNode[base : base+lr.bufLen]
-	if lr.zig {
-		lr.merged[l].FillEventsZiggurat(times, nodes)
-	} else {
-		lr.merged[l].FillEvents(times, nodes, lr.us)
-	}
+	lr.merged[l].FillEventsZiggurat(lr.evTime[base:base+lr.bufLen], lr.evNode[base:base+lr.bufLen])
 	lr.evPos[l] = 0
 }
 
 // stepLane is the per-lane port of engine.run's loop: it advances lane
 // l through failures until the run finishes (completed, fatal, or
-// horizon-saturated). An exact lane that parks at the fast-forward
-// condition is replayed here and re-enters advanceLane with the same
-// target, which keeps advanceLane's loop free of calls.
+// horizon-saturated).
 func (lr *LaneRunner) stepLane(l int) {
 	base := l * lr.bufLen
 	for {
@@ -321,14 +270,10 @@ func (lr *LaneRunner) stepLane(l int) {
 		if hasEv {
 			target = evT
 		}
-		switch lr.advanceLane(l, target) {
-		case laneCompleted:
+		if lr.advanceLane(l, target) {
 			lr.res[l].Completed = true
 			lr.finishLane(l)
 			return
-		case laneParked:
-			lr.replayLane(l, target)
-			continue
 		}
 		if !hasEv {
 			lr.finishLane(l) // horizon reached (saturated)
@@ -347,21 +292,20 @@ func (lr *LaneRunner) stepLane(l int) {
 }
 
 // advanceLane is the lane port of engine.advanceUntil. Where the
-// scalar engine calls replayPeriods, a production lane fast-forwards
-// in closed form and an exact lane parks, for stepLane to replay it
-// with the scalar fastForward: the guard is the scalar condition plus
-// replayPeriods' own first-iteration conditions (periodWork > 0, work
-// below the cap, a full period of headroom), so at least one period
-// always replays and an unguarded lane proceeds stepwise exactly where
-// the scalar walk would. Parking instead of calling keeps this loop a
-// leaf without a stack frame.
+// scalar engine calls replayPeriods, a lane fast-forwards in closed
+// form: the guard is the scalar condition plus replayPeriods' own
+// first-iteration conditions (periodWork > 0, work below the cap, a
+// full period of headroom), so at least one period always replays and
+// an unguarded lane proceeds stepwise exactly where the scalar walk
+// would. It reports whether the work target was reached (the run is
+// done) before the timeline reached target.
 // The hot per-lane state lives in locals for the whole walk — one load
 // per field on entry, one store on exit — so the inner loop works on
-// registers instead of bounds-checked slice cells. Every float
-// operation is the scalar sequence unchanged; the state is flushed
-// before the rare commitLane call (which reads the lane's clock) and at
-// every return.
-func (lr *LaneRunner) advanceLane(l int, target float64) int {
+// registers instead of bounds-checked slice cells. Outside the
+// fast-forward every float operation is the scalar sequence unchanged;
+// the state is flushed before the rare commitLane call (which reads
+// the lane's clock) and at every return.
+func (lr *LaneRunner) advanceLane(l int, target float64) bool {
 	var (
 		t       = lr.t[l]
 		work    = lr.work[l]
@@ -378,12 +322,7 @@ func (lr *LaneRunner) advanceLane(l int, target float64) int {
 		case modeSchedule:
 			if offset == 0 && lr.riskUntil[l] <= t && dt >= lr.period+workEps &&
 				lr.periodWork > 0 && work < lr.workCap {
-				if lr.exact {
-					lr.t[l], lr.work[l], lr.offset[l], lr.md[l] = t, work, offset, md
-					lr.stallRemaining[l], lr.reexecRemaining[l], lr.overlapRemain[l] = stall, reexec, overlap
-					return laneParked
-				}
-				// Production fast-forward: k whole fault-free periods
+				// Fast-forward: k whole fault-free periods
 				// collapse to closed form. The reciprocal candidate is
 				// corrected against the exact monotone bounds, so k is a
 				// pure deterministic function of (t, work, target) — the
@@ -429,7 +368,7 @@ func (lr *LaneRunner) advanceLane(l int, target float64) int {
 			if work >= lr.tbase-workEps {
 				lr.t[l], lr.work[l], lr.offset[l], lr.md[l] = t, work, offset, md
 				lr.stallRemaining[l], lr.reexecRemaining[l], lr.overlapRemain[l] = stall, reexec, overlap
-				return laneCompleted
+				return true
 			}
 			if offset >= segEnd-workEps {
 				// crossBoundaryLane, on the cached state.
@@ -505,7 +444,7 @@ func (lr *LaneRunner) advanceLane(l int, target float64) int {
 			if work >= lr.tbase-workEps {
 				lr.t[l], lr.work[l], lr.offset[l], lr.md[l] = t, work, offset, md
 				lr.stallRemaining[l], lr.reexecRemaining[l], lr.overlapRemain[l] = stall, reexec, overlap
-				return laneCompleted
+				return true
 			}
 			if reexec <= workEps {
 				md = modeSchedule
@@ -520,7 +459,7 @@ func (lr *LaneRunner) advanceLane(l int, target float64) int {
 	t = target
 	lr.t[l], lr.work[l], lr.offset[l], lr.md[l] = t, work, offset, md
 	lr.stallRemaining[l], lr.reexecRemaining[l], lr.overlapRemain[l] = stall, reexec, overlap
-	return laneReached
+	return false
 }
 
 // canReplay reports whether the closed-form fast-forward may replay
@@ -532,17 +471,6 @@ func (lr *LaneRunner) canReplay(t0, w0, target float64, j int64) bool {
 	tj := t0 + float64(j)*lr.period
 	wj := w0 + float64(j)*lr.periodWork
 	return target-tj >= lr.period+workEps && wj < lr.workCap
-}
-
-// replayLane fast-forwards a parked exact lane through the fault-free
-// periods before target with the scalar engine's fastForward, and
-// applies the replay epilogue of engine.replayPeriods.
-func (lr *LaneRunner) replayLane(l int, target float64) {
-	t, w, snap := lr.fastForward(lr.t[l], lr.work[l], target, lr.workCap)
-	lr.t[l], lr.work[l], lr.snapshotWork[l], lr.periodStartWork[l] = t, w, snap, w
-	lr.comp[l] = lr.comp[l][:0]
-	lr.everCommitted[l] = true
-	lr.offset[l] = 0
 }
 
 // commitLane is the lane port of engine.commit (lanes never carry a

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/stats"
 )
 
 // laneTestConfigs spans the regimes the lane kernel must replicate:
@@ -30,76 +32,6 @@ func laneTestConfigs() []Config {
 		Config{Protocol: core.DoubleBoF, Params: p.WithMTBF(300), Phi: 1, Tbase: 1e4, MaxSimTime: 1.2e4},
 	)
 	return cfgs
-}
-
-// TestLaneRunnerMatchesScalarBitwise is the exact mode's core
-// contract: lane l with seed s produces a Result bitwise identical to
-// the scalar Runner's, across widths (including a tail-heavy width-3
-// batch), protocols and failure regimes — the sampler and the replay
-// addition sequence are shared, so the equivalence is exact, not
-// statistical.
-func TestLaneRunnerMatchesScalarBitwise(t *testing.T) {
-	for ci, cfg := range laneTestConfigs() {
-		b, err := Compile(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar := b.NewRunner()
-		for _, width := range []int{1, 3, 8, 16} {
-			lr, err := b.NewLaneRunner(width)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lr.SetExact(true)
-			seeds := make([]uint64, width)
-			out := make([]Result, width)
-			for base := uint64(0); base < 48; base += uint64(width) {
-				for i := range seeds {
-					seeds[i] = base + uint64(i)
-				}
-				lr.RunBatch(seeds, nil, out)
-				for i, seed := range seeds {
-					if want := scalar.Run(seed); out[i] != want {
-						t.Fatalf("config %d width %d seed %d:\nlane   %+v\nscalar %+v",
-							ci, width, seed, out[i], want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLaneRunnerAntitheticMatchesScalar pins the reflected half: a
-// lane with anti[l] = true is bitwise RunAntithetic(seed, true), with
-// pairs laid out on adjacent lanes.
-func TestLaneRunnerAntitheticMatchesScalar(t *testing.T) {
-	for ci, cfg := range laneTestConfigs() {
-		b, err := Compile(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar := b.NewRunner()
-		const width = 8
-		lr, err := b.NewLaneRunner(width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lr.SetExact(true)
-		seeds := make([]uint64, width)
-		anti := make([]bool, width)
-		out := make([]Result, width)
-		for j := 0; j < width; j++ {
-			seeds[j] = uint64(j / 2) // pair j/2 on lanes 2⌊j/2⌋, 2⌊j/2⌋+1
-			anti[j] = j&1 == 1
-		}
-		lr.RunBatch(seeds, anti, out)
-		for j := 0; j < width; j++ {
-			if want := scalar.RunAntithetic(seeds[j], anti[j]); out[j] != want {
-				t.Fatalf("config %d lane %d (seed %d, anti %v):\nlane   %+v\nscalar %+v",
-					ci, j, seeds[j], anti[j], out[j], want)
-			}
-		}
-	}
 }
 
 // TestLaneRunnerSamplerBatchInvariant checks the prefetch depth is
@@ -139,13 +71,9 @@ func TestLaneRunnerSamplerBatchInvariant(t *testing.T) {
 // contract: a runner rebound from batch to batch produces bitwise the
 // Results of a fresh NewLaneRunner on each batch. The batch sequence
 // changes N, M and tbase, so the sampler buffer grows (8 → 64 events
-// per lane), shrinks and grows again, and the mode sequence runs
-// production, exact and antithetic batches in turn, so every mode
-// follows every other one — an antithetic batch followed by a
-// production batch included. The last two batches come from
-// tieRebindConfigs and run in the two exact modes: the second ties on
-// the float grid in a binade where the first does not, so replay state
-// kept across a rebind would show.
+// per lane), shrinks and grows again, and plain and antithetic batches
+// alternate, so every configuration runs on both schedules and a
+// plain batch follows an antithetic one.
 func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
 	p := scenario.Base().Params
 	small := p.WithMTBF(150)
@@ -158,20 +86,13 @@ func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
 		{Protocol: core.DoubleBoF, Params: tiny, Phi: 0.5, Tbase: 1e4},
 		{Protocol: core.TripleNBL, Params: p.WithMTBF(300), Phi: 1, Tbase: 2e4, MaxSimTime: 2.4e4},
 	}
-	cfgs = append(cfgs, tieRebindConfigs(t)...)
-	const (
-		production = iota
-		exact
-		antithetic
-	)
-	setMode := func(lr *LaneRunner, m int) { lr.SetExact(m != production) }
 	seeds := make([]uint64, DefaultLaneWidth)
 	anti := make([]bool, DefaultLaneWidth)
 	want := make([]Result, DefaultLaneWidth)
 	got := make([]Result, DefaultLaneWidth)
 	var rebound *LaneRunner
 	for step := 0; step < 2*len(cfgs); step++ {
-		cfg, m := cfgs[step%len(cfgs)], step%3
+		cfg, antithetic := cfgs[step%len(cfgs)], (step+step/len(cfgs))%2 == 1
 		b, err := Compile(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -187,17 +108,11 @@ func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
 			}
 		} else {
 			rebound.bind(b)
-			if rebound.clockStep != (binadeStep{}) || rebound.workStep != (binadeStep{}) {
-				t.Fatalf("step %d: bind kept the previous batch's fast-forward steps %+v, %+v",
-					step, rebound.clockStep, rebound.workStep)
-			}
 		}
-		setMode(fresh, m)
-		setMode(rebound, m)
 		var flags []bool
 		for l := range seeds {
 			seeds[l] = uint64(100*step + l)
-			if m == antithetic {
+			if antithetic {
 				seeds[l] = uint64(100*step + l/2)
 				anti[l] = l&1 == 1
 				flags = anti
@@ -207,8 +122,8 @@ func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
 		rebound.RunBatch(seeds, flags, got)
 		for l := range got {
 			if got[l] != want[l] {
-				t.Fatalf("step %d (config %d, mode %d, sampler batch %d) lane %d:\nrebound %+v\nfresh   %+v",
-					step, step%len(cfgs), m, rebound.bufLen, l, got[l], want[l])
+				t.Fatalf("step %d (config %d, antithetic %v, sampler batch %d) lane %d:\nrebound %+v\nfresh   %+v",
+					step, step%len(cfgs), antithetic, rebound.bufLen, l, got[l], want[l])
 			}
 		}
 	}
@@ -305,96 +220,144 @@ func TestRunManySeededLaneWorkerInvariantAndStatistical(t *testing.T) {
 	}
 }
 
-// TestRunAntitheticSeededLaneMatchesScalar pins the adaptive round
-// primitive: the lane-batched antithetic schedule replays
-// AggregateAntithetic bitwise — including the observe order — across
-// round splits and worker counts.
-func TestRunAntitheticSeededLaneMatchesScalar(t *testing.T) {
+// TestRunAntitheticSeededWorkerAndRoundSplitBitwise pins the
+// determinism the adaptive executor builds on, on the lane path: each
+// round's Aggregate and observed Results are bitwise independent of
+// the worker count, and the Results observed over the rounds {0,16},
+// {16,16}, {32,8} are bitwise those of one uninterrupted 40-run round
+// — run j is a pure function of (base, j) — in run-index order.
+func TestRunAntitheticSeededWorkerAndRoundSplitBitwise(t *testing.T) {
 	b, err := Compile(antiTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	newScalar := func(int) func(uint64, bool) (Result, error) {
-		r := b.NewRunner()
-		return func(seed uint64, anti bool) (Result, error) { return r.RunAntithetic(seed, anti), nil }
+	var whole []Result
+	if _, err := b.RunAntitheticSeeded(7, 0, 40, 1, func(r Result) { whole = append(whole, r) }); err != nil {
+		t.Fatal(err)
 	}
-	for _, round := range []struct{ first, runs int }{
-		{0, 64}, {64, 40}, {0, 300}, {0, 16}, {16, 16}, {32, 8}, {0, 2},
-	} {
-		var wantSeen []Result
-		want, err := AggregateAntithetic(7, round.first, round.runs, 2, newScalar,
-			func(r Result) { wantSeen = append(wantSeen, r) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3, 4} {
+	rounds := []struct{ first, runs int }{{0, 16}, {16, 16}, {32, 8}}
+	for _, workers := range []int{1, 2, 4} {
+		var split []Result
+		for _, round := range rounds {
 			var seen []Result
 			got, err := b.RunAntitheticSeeded(7, round.first, round.runs, workers,
 				func(r Result) { seen = append(seen, r) })
 			if err != nil {
 				t.Fatal(err)
 			}
+			want, err := b.RunAntitheticSeeded(7, round.first, round.runs, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got != want {
-				t.Fatalf("round %+v workers %d: aggregate differs", round, workers)
+				t.Fatalf("round %+v: aggregate on %d workers differs from 1 worker", round, workers)
 			}
-			if len(seen) != len(wantSeen) {
-				t.Fatalf("round %+v: observe saw %d results, want %d", round, len(seen), len(wantSeen))
+			var agg Aggregate
+			for _, r := range seen {
+				agg.Add(r)
 			}
-			for i := range seen {
-				if seen[i] != wantSeen[i] {
-					t.Fatalf("round %+v workers %d: observe order diverges at %d", round, workers, i)
-				}
+			if agg != got {
+				t.Fatalf("round %+v workers %d: observed Results do not fold to the aggregate", round, workers)
+			}
+			split = append(split, seen...)
+		}
+		if len(split) != len(whole) {
+			t.Fatalf("workers %d: rounds observed %d results, want %d", workers, len(split), len(whole))
+		}
+		for j := range split {
+			if split[j] != whole[j] {
+				t.Fatalf("workers %d: run %d differs between the split rounds and one round:\n%+v\n%+v",
+					workers, j, split[j], whole[j])
 			}
 		}
 	}
-}
-
-// TestLaneRunnerZigguratStatistical: the ziggurat sampler changes the
-// draw sequence, so equivalence is statistical — the mean waste over a
-// sizable batch must agree with the inverse-CDF kernel within 3σ of
-// the combined standard error — while equal seeds stay bitwise
-// deterministic.
-func TestLaneRunnerZigguratStatistical(t *testing.T) {
-	cfg := Config{Protocol: core.DoubleNBL, Params: scenario.Base().Params.WithMTBF(900), Phi: 1, Tbase: 2e4}
-	b, err := Compile(cfg)
+	// Pairs share a seed on adjacent lanes: run 2k is seed 7+k plain and
+	// run 2k+1 its reflection.
+	lr, err := b.NewLaneRunner(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const width, batches = 16, 40
-	run := func(zig bool) Aggregate {
-		lr, err := b.NewLaneRunner(width)
+	pair := make([]Result, 2)
+	lr.RunBatch([]uint64{7 + 3, 7 + 3}, []bool{false, true}, pair)
+	if pair[0] != whole[6] || pair[1] != whole[7] {
+		t.Fatalf("runs 6, 7 are not pair 3 of the schedule:\n%+v\n%+v", whole[6:8], pair)
+	}
+}
+
+// TestLaneRunnerZigguratStatistical: the lane kernel (closed-form
+// fast-forward, ziggurat draws) is statistically, not bitwise,
+// equivalent to the scalar Runner (stepwise replay, inverse-CDF
+// draws). On every laneTestConfigs configuration, for the plain and
+// the reflected half, the means of waste, makespan and failures and
+// the fatal and completed rates must agree within 3σ of their
+// difference. The two sides use disjoint seeds, so the samples are
+// independent. Equal seeds stay bitwise deterministic.
+func TestLaneRunnerZigguratStatistical(t *testing.T) {
+	const runs = 640
+	for ci, cfg := range laneTestConfigs() {
+		b, err := Compile(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr.SetZiggurat(zig)
-		seeds := make([]uint64, width)
-		out := make([]Result, width)
-		var agg Aggregate
-		for bt := 0; bt < batches; bt++ {
-			for i := range seeds {
-				seeds[i] = uint64(bt*width + i)
+		scalar := b.NewRunner()
+		for _, reflected := range []bool{false, true} {
+			lane := func() Aggregate {
+				lr, err := b.NewLaneRunner(DefaultLaneWidth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seeds := make([]uint64, DefaultLaneWidth)
+				anti := make([]bool, DefaultLaneWidth)
+				out := make([]Result, DefaultLaneWidth)
+				var agg Aggregate
+				for lo := 0; lo < runs; lo += DefaultLaneWidth {
+					for l := range seeds {
+						seeds[l], anti[l] = uint64(lo+l), reflected
+					}
+					lr.RunBatch(seeds, anti, out)
+					for _, r := range out {
+						agg.Add(r)
+					}
+				}
+				return agg
 			}
-			lr.RunBatch(seeds, nil, out)
-			for _, r := range out {
-				agg.Add(r)
+			got := lane()
+			if again := lane(); again != got {
+				t.Fatalf("config %d reflected %v: lane kernel not deterministic for equal seeds", ci, reflected)
+			}
+			var want Aggregate
+			for seed := uint64(1 << 32); seed < 1<<32+runs; seed++ {
+				want.Add(scalar.RunAntithetic(seed, reflected))
+			}
+			for _, m := range []struct {
+				name       string
+				lane, scal stats.Sample
+			}{
+				{"waste", got.Waste, want.Waste},
+				{"makespan", got.Makespan, want.Makespan},
+				{"failures", got.Failures, want.Failures},
+			} {
+				d := math.Abs(m.lane.Mean() - m.scal.Mean())
+				if lim := 3 * math.Hypot(m.lane.StdErr(), m.scal.StdErr()); d > lim {
+					t.Errorf("config %d reflected %v: %s mean lane %v vs scalar %v: |diff| %v > 3σ %v",
+						ci, reflected, m.name, m.lane.Mean(), m.scal.Mean(), d, lim)
+				}
+			}
+			for _, m := range []struct {
+				name       string
+				lane, scal stats.Proportion
+			}{
+				{"fatal", got.Fatal, want.Fatal},
+				{"completed", got.Completed, want.Completed},
+			} {
+				p := (m.lane.Rate() + m.scal.Rate()) / 2
+				d := math.Abs(m.lane.Rate() - m.scal.Rate())
+				if lim := 3 * math.Sqrt(p*(1-p)*2/runs); d > lim {
+					t.Errorf("config %d reflected %v: %s rate lane %v vs scalar %v: |diff| %v > 3σ %v",
+						ci, reflected, m.name, m.lane.Rate(), m.scal.Rate(), d, lim)
+				}
 			}
 		}
-		return agg
-	}
-	inv, zig := run(false), run(true)
-	zig2 := run(true)
-	if zig != zig2 {
-		t.Fatal("ziggurat kernel is not deterministic for equal seeds")
-	}
-	diff := inv.Waste.Mean() - zig.Waste.Mean()
-	if diff < 0 {
-		diff = -diff
-	}
-	seInv := inv.Waste.CI95() / 1.96
-	seZig := zig.Waste.CI95() / 1.96
-	if limit := 3 * (seInv + seZig); diff > limit {
-		t.Fatalf("ziggurat waste mean %v vs inverse-CDF %v: |diff| %v > 3σ limit %v",
-			zig.Waste.Mean(), inv.Waste.Mean(), diff, limit)
 	}
 }
 

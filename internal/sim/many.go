@@ -97,11 +97,11 @@ func RunManyWorkers(cfg Config, runs, workers int) (Aggregate, error) {
 // base+0 .. base+runs-1 across the given worker budget, streaming
 // per-chunk partial aggregates instead of materializing per-run
 // Results. Batches on the merged exponential path execute through the
-// lane-batched kernel (LaneRunner) in production mode — closed-form
-// fast-forward plus ziggurat sampling, statistically equivalent to
-// the scalar Runner and fully deterministic per seed, with the same
-// chunked aggregation, so the Aggregate is bitwise identical for any
-// worker count; renewal-law batches run the scalar Runner. Each
+// lane-batched kernel (LaneRunner) — closed-form fast-forward plus
+// ziggurat sampling, statistically equivalent to the scalar Runner and
+// fully deterministic per seed, with the same chunked aggregation, so
+// the Aggregate is bitwise identical for any worker count; renewal-law
+// and correlated batches run the scalar Runner. Each
 // worker owns one reusable runner (kept across chunks), so the
 // steady-state simulation loop allocates nothing.
 func (b *Batch) RunManySeeded(base uint64, runs, workers int) (Aggregate, error) {
@@ -117,12 +117,14 @@ func (b *Batch) RunManySeeded(base uint64, runs, workers int) (Aggregate, error)
 // RunAntitheticSeeded executes the global run indices [first,
 // first+runs) of the antithetically paired schedule (run j: seed
 // base+j/2, reflected when j is odd) with the batch's fastest
-// backend: lane-batched in exact mode on the merged exponential path
-// — pairs land on adjacent lanes and replay the scalar draw sequence
-// bitwise — and the scalar Runner otherwise. The semantics
-// (chunking, observe order, worker-count bitwise independence) are
-// exactly AggregateAntithetic's; the engine package's adaptive
-// executor routes through it.
+// backend: i.i.d. batches run on the lane kernel, through the same
+// pool and chunked aggregation as RunManySeeded, with each pair on
+// adjacent lanes; renewal-law and correlated batches run the scalar
+// Runner through AggregateAntithetic. The chunking, the observe order
+// and the worker-count bitwise independence are AggregateAntithetic's
+// on both paths. Lane Results are statistically equivalent to the
+// scalar Runner's, not bitwise (see LaneRunner); the engine package's
+// adaptive executor routes through here.
 func (b *Batch) RunAntitheticSeeded(base uint64, first, runs, workers int,
 	observe func(Result)) (Aggregate, error) {
 	if b.cfg.Lanes() {
@@ -171,8 +173,7 @@ func laneWidth(n, workers int) int {
 // splits into lane groups of laneWidth lanes, workers claim groups and
 // run them through pooled LaneRunners, and the buffered Results fold
 // in item order exactly as on the scalar path. A lane Result is a pure
-// function of its seed (exact mode: bitwise the scalar Runner's;
-// production mode: statistically equivalent), so neither the group
+// function of its seed and reflection flag, so neither the group
 // width nor the worker count changes a bit of the Aggregate: the chunk
 // boundaries and the Add order depend only on the run count. The
 // call's scratch lives with its pooled runners, so a batch of one
@@ -186,14 +187,14 @@ func (b *Batch) aggregateLanes(base uint64, first, n, workers int, antithetic bo
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, Workers(n, true))
-	lead, err := b.laneRunner(antithetic)
+	lead, err := b.laneRunner()
 	if err != nil {
 		return Aggregate{}, err
 	}
 	lead.crew = append(lead.crew[:0], lead)
 	defer lead.releaseCrew()
 	for len(lead.crew) < workers {
-		lr, err := b.laneRunner(antithetic)
+		lr, err := b.laneRunner()
 		if err != nil {
 			return Aggregate{}, err
 		}

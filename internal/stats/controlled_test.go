@@ -57,10 +57,10 @@ func TestControlledNoisyControl(t *testing.T) {
 	}
 }
 
-// TestControlledConstantControlFallsBack pins the degenerate path the
-// adaptive executor's zero-variance early stop relies on: a control
-// that never varies contributes no information, so beta is 0 and the
-// estimator degrades to the raw mean with the raw variance.
+// TestControlledConstantControlFallsBack pins the degenerate path of a
+// quiet adaptive point (every pair fault-free): a control that never
+// varies contributes no information, so beta is 0 and the estimator
+// degrades to the raw mean with the raw variance.
 func TestControlledConstantControlFallsBack(t *testing.T) {
 	v := Controlled{Mu: 5}
 	for _, y := range []float64{1, 2, 3, 4} {

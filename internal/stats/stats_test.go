@@ -373,8 +373,8 @@ func TestHistogramMergeShapePanics(t *testing.T) {
 
 // TestQuantileEdgeCases covers the inputs the adaptive rounds can
 // produce: an empty sample after a fatal-heavy first round, a single
-// observation, and an all-identical sample (the zero-variance
-// early-stop path).
+// observation, and an all-identical sample (a zero-variance round,
+// which the stopper keeps running).
 func TestQuantileEdgeCases(t *testing.T) {
 	if q := Quantile(nil, 0.5); !math.IsNaN(q) {
 		t.Errorf("Quantile(nil) = %v, want NaN", q)
