@@ -767,17 +767,6 @@ func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int,
 	// shared pool (admit) and evaluates on a goroutine of its own, so the
 	// concurrent simulation goroutines never exceed the service's
 	// Workers budget, whatever the number of in-flight requests.
-	//
-	// An adaptive point runs short rounds, and a round split over
-	// several workers wakes its extra workers again at every round
-	// barrier: on a 2-vCPU node the second worker started 66–300 µs
-	// into rounds of 0.3–0.8 ms, and the claimed workers were busy 74 %
-	// of the time. So behind the range's first Capacity points, which
-	// start one after another on an idle pool and carry the stream's
-	// first lines, an adaptive point claims one worker, and the cores
-	// run whole points side by side. Splitting the head keeps the first
-	// line prompt: with every point on one worker, the first line
-	// waited for a core (perfbench first_result 1.8 → 9.5–10.4 ms).
 	go func() {
 		for i, pt := range points {
 			select {
@@ -791,11 +780,7 @@ func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int,
 				}
 				return
 			}
-			want := pl.workers(pt)
-			if pl.req.TargetRelErr != 0 && i >= s.pool.Capacity() {
-				want = 1
-			}
-			item, held, err := s.admit(ctx, pr, pt.key, want)
+			item, held, err := s.admit(ctx, pr, pt.key, pl.workers(pt, i, s.pool.Capacity()))
 			if err != nil || held == 0 {
 				slots[i] = slot{item: item, cached: err == nil, err: err}
 				close(ready[i])
@@ -841,9 +826,25 @@ func (s *Service) runPlan(ctx context.Context, pl *sweepPlan, offset, limit int,
 	return stats, nil
 }
 
-// workers is how many workers point pt keeps busy at its widest round
-// (the fixed budget, or the adaptive cap), as its backend counts them.
-func (pl *sweepPlan) workers(pt sweepPoint) int {
+// workers is how many workers point pt, the i-th of its range, claims
+// from a pool of the given capacity: those it keeps busy at its widest
+// round (the fixed budget, or the adaptive cap), as its backend counts
+// them, with one exception. An adaptive point on the lane kernel runs
+// short rounds, and a round split over several workers wakes its extra
+// workers again at every round barrier: on a 2-vCPU node the second
+// worker started 66–300 µs into rounds of 0.3–0.8 ms, and the claimed
+// workers were busy 74 % of the time. So behind the range's first
+// capacity points, which start one after another on an idle pool and
+// carry the stream's first lines, such a point claims one worker, and
+// the cores run whole points side by side. Splitting the head keeps
+// the first line prompt: with every point on one worker, the first
+// line waited for a core (perfbench first_result 1.8 → 9.5–10.4 ms).
+// Scalar-path adaptive points (renewal laws, correlation, the detailed
+// and multilevel backends) keep their full claim.
+func (pl *sweepPlan) workers(pt sweepPoint, i, capacity int) int {
+	if pl.req.TargetRelErr != 0 && i >= capacity && engine.LaneBatched(pt.eng, pt.req) {
+		return 1
+	}
 	widest := pl.req.Runs
 	if pl.req.TargetRelErr != 0 {
 		widest = pl.req.MaxRuns

@@ -298,6 +298,9 @@ func TestSweepDoubleBlockingCollapses(t *testing.T) {
 // elsewhere — and a miss only the workers its widest round keeps busy:
 // one for a 2-run i.i.d. point, whose runs fill one lane group, but
 // one per run for a 4-run Weibull point on the scalar renewal path.
+// Behind the range's first Capacity points an adaptive lane point
+// claims one worker; a fixed-budget point there, and an adaptive point
+// on the scalar path, keep their full claim.
 func TestRunPlanClaimRule(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -323,14 +326,14 @@ func TestRunPlanClaimRule(t *testing.T) {
 		t.Errorf("cache counted %d hits, %d misses over a miss and a hit", hits, misses)
 	}
 
-	claim := func(req SweepRequest) int {
+	claim := func(req SweepRequest, i int) int {
 		t.Helper()
 		pl, err := svc.plan(&req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pt := pl.point(0)
-		_, held, err := svc.admit(ctx, jobs.Interactive, pt.key, pl.workers(pt))
+		_, held, err := svc.admit(ctx, jobs.Interactive, pt.key, pl.workers(pt, i, svc.pool.Capacity()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +341,7 @@ func TestRunPlanClaimRule(t *testing.T) {
 	}
 	fresh := req
 	fresh.Seed++
-	if held := claim(fresh); held != 1 {
+	if held := claim(fresh, 0); held != 1 {
 		t.Errorf("2-run i.i.d. point claimed %d tokens, want 1", held)
 	}
 	if !svc.pool.TryAcquire() {
@@ -349,11 +352,38 @@ func TestRunPlanClaimRule(t *testing.T) {
 	weibull := fresh
 	weibull.Runs = 4
 	weibull.Scenario = scenario.Spec{Name: "Base", Law: "weibull", Shape: 0.7}
-	if held := claim(weibull); held != 4 {
+	if held := claim(weibull, 0); held != 4 {
 		t.Errorf("4-run Weibull point claimed %d tokens, want 4", held)
 	}
 	for i := 0; i < 4; i++ {
 		svc.pool.Release()
+	}
+
+	adaptive := fresh
+	adaptive.Runs, adaptive.TargetRelErr, adaptive.MaxRuns = 16, 0.05, 64
+	wide := fresh
+	wide.Runs = 64
+	weibullAdaptive := adaptive
+	weibullAdaptive.Scenario = weibull.Scenario
+	for _, c := range []struct {
+		name string
+		req  SweepRequest
+		i    int
+		want int
+	}{
+		{"adaptive lane point at the head", adaptive, 0, 4},
+		{"adaptive lane point last in the head", adaptive, 3, 4},
+		{"adaptive lane point behind the head", adaptive, 4, 1},
+		{"fixed-budget lane point behind the head", wide, 4, 4},
+		{"adaptive Weibull point behind the head", weibullAdaptive, 4, 4},
+	} {
+		held := claim(c.req, c.i)
+		if held != c.want {
+			t.Errorf("%s (index %d) claimed %d tokens, want %d", c.name, c.i, held, c.want)
+		}
+		for ; held > 0; held-- {
+			svc.pool.Release()
+		}
 	}
 }
 

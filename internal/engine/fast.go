@@ -53,6 +53,13 @@ func (Fast) Workers(req Request, runs int) int {
 	return sim.Workers(runs, req.simConfig().Lanes())
 }
 
+// LaneBatched reports whether e runs req's batches on the lane kernel:
+// the fast backend's i.i.d. merged exponential path.
+func LaneBatched(e Engine, req Request) bool {
+	_, fast := e.(Fast)
+	return fast && req.simConfig().Lanes()
+}
+
 type fastBatch struct {
 	req   Request
 	b     *sim.Batch
