@@ -104,14 +104,3 @@ func (s *Stream) expZig() float64 {
 		}
 	}
 }
-
-// FillExpZiggurat fills dst with Exponential(rate) ziggurat variates,
-// the scalar loop verbatim.
-func (s *Stream) FillExpZiggurat(rate float64, dst []float64) {
-	if rate <= 0 {
-		panic("rng: FillExpZiggurat with non-positive rate")
-	}
-	for i := range dst {
-		dst[i] = s.expZig() / rate
-	}
-}

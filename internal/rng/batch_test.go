@@ -156,16 +156,3 @@ func TestExpZigguratReflectionIsComplement(t *testing.T) {
 		}
 	}
 }
-
-// TestFillExpZigguratMatchesScalar: the batched refill is the scalar
-// ziggurat loop verbatim.
-func TestFillExpZigguratMatchesScalar(t *testing.T) {
-	a, b := New(5), New(5)
-	dst := make([]float64, 301)
-	a.FillExpZiggurat(2, dst)
-	for i, got := range dst {
-		if want := b.ExpZiggurat(2); got != want {
-			t.Fatalf("draw %d: batched %v != scalar %v", i, got, want)
-		}
-	}
-}

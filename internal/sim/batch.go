@@ -27,21 +27,9 @@ type compiled struct {
 	tbase   float64 // failure-free application duration
 	horizon float64 // absolute simulation-time bound
 	// periodWork is the work accomplished by one full fault-free
-	// period (= scheduleWork(period)); it lets advanceUntil fast-forward
-	// whole risk-idle periods in O(1) instead of walking segments.
+	// period (= scheduleWork(period)); the fast-forwards of both
+	// kernels advance whole periods by it instead of walking segments.
 	periodWork float64
-	// clockAdds and workAdds are one fault-free period's additions in
-	// the stepwise walk's order: c1, seg2, seg3 on the clock and wc1,
-	// wc2, seg3 on the work level (wc1 is 0 for the double protocols,
-	// whose phase 1 does no work). Each is rounded and stored once, so
-	// a fused multiply-add cannot make the replay loop and the exact
-	// fast-forward add different values.
-	clockAdds, workAdds [3]float64
-	// clockStep and workStep cache the exact fast-forward's step for the
-	// binade each chain was last in. They are the one part a runner
-	// writes, on its own copy; every bind copies a batch's untouched
-	// block, so a rebound runner starts with an empty cache.
-	clockStep, workStep binadeStep
 	// impFatal is the first-order fatal-chain probability charged per
 	// observed failure (λ·risk for pairs, 2(λ·risk)² for triples).
 	impFatal float64
@@ -118,14 +106,6 @@ func compileConfig(cfg Config) (compiled, error) {
 		}
 	}
 	c.periodWork = c.scheduleWork(period)
-	c1 := phases.Ckpt1
-	c2 := c1 + phases.Ckpt2
-	var wc1 float64
-	if pr.IsTriple() {
-		wc1 = float64(c.exRate * c1)
-	}
-	c.clockAdds = [3]float64{c1, c2 - c1, period - c2}
-	c.workAdds = [3]float64{wc1, float64(c.exRate * (c2 - c1)), period - c2}
 	lr := p.Lambda() * c.risk
 	if c.group == 2 {
 		c.impFatal = lr
@@ -229,7 +209,7 @@ func (b *Batch) NewRunner() *Runner {
 // set's backing array, so a rebound runner produces the bits of
 // NewRunner on b.
 func (r *Runner) bind(b *Batch) {
-	r.e = engine{compiled: b.c, comp: r.e.comp[:0]}
+	r.e = engine{compiled: b.c, ff: newPeriodReplay(&b.c), comp: r.e.comp[:0]}
 	r.e.initSource(nil)
 }
 

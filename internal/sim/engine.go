@@ -59,6 +59,10 @@ type riskEntry struct {
 // Monte-Carlo batch without allocating.
 type engine struct {
 	compiled
+	// ff is the exact fault-free fast-forward (replayPeriods); the
+	// detailed engine, whose commit observer disables it, leaves it
+	// zero.
+	ff periodReplay
 
 	// Failure source: exactly one of merged / renewal / src is active.
 	// merged is the concrete exponential fast path (no interface
@@ -122,7 +126,7 @@ func newEngine(cfg Config) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{compiled: c, comp: make([]riskEntry, 0, 16)}
+	e := &engine{compiled: c, ff: newPeriodReplay(&c), comp: make([]riskEntry, 0, 16)}
 	e.initSource(cfg.Source)
 	e.reset(cfg.Seed)
 	return e, nil
@@ -395,12 +399,42 @@ func (e *engine) replayPeriods(target float64) bool {
 	if e.periodWork <= 0 || !(target-e.t >= e.period+workEps && e.work < workCap) {
 		return false
 	}
-	e.t, e.work, e.snapshotWork = e.fastForward(e.t, e.work, target, workCap)
+	e.t, e.work, e.snapshotWork = e.ff.fastForward(e.t, e.work, target, workCap)
 	e.periodStartWork = e.work
 	e.comp = e.comp[:0]
 	e.everCommitted = true
 	e.offset = 0
 	return true
+}
+
+// periodReplay is the scalar engine's exact fast-forward state.
+// clockAdds and workAdds are one fault-free period's additions in the
+// stepwise walk's order: c1, seg2, seg3 on the clock and wc1, wc2, seg3
+// on the work level (wc1 is 0 for the double protocols, whose phase 1
+// does no work). Each is rounded and stored once, so a fused
+// multiply-add cannot make the replay loop and the fast-forward add
+// different values. clockStep and workStep cache the step for the
+// binade each chain was last in; a runner's bind builds a fresh
+// periodReplay, so a rebound runner starts with an empty cache.
+type periodReplay struct {
+	period              float64
+	clockAdds, workAdds [3]float64
+	clockStep, workStep binadeStep
+}
+
+// newPeriodReplay returns the fast-forward state of a compiled batch.
+func newPeriodReplay(c *compiled) periodReplay {
+	c1 := c.phases.Ckpt1
+	c2 := c1 + c.phases.Ckpt2
+	var wc1 float64
+	if c.pr.IsTriple() {
+		wc1 = float64(c.exRate * c1)
+	}
+	return periodReplay{
+		period:    c.period,
+		clockAdds: [3]float64{c1, c2 - c1, c.period - c2},
+		workAdds:  [3]float64{wc1, float64(c.exRate * (c2 - c1)), c.period - c2},
+	}
 }
 
 // fastForward advances the clock t and the work level w through whole
@@ -420,16 +454,16 @@ func (e *engine) replayPeriods(target float64) bool {
 // test is monotone in j. Binade crossings, ties and zero run the loop
 // body for one period. It returns the clock, the work level and the
 // snapshot: the work level at the start of the last period.
-func (c *compiled) fastForward(t, w, target, workCap float64) (float64, float64, float64) {
-	limit := c.period + workEps
+func (r *periodReplay) fastForward(t, w, target, workCap float64) (float64, float64, float64) {
+	limit := r.period + workEps
 	snap := w
-	ct, cw := &c.clockStep, &c.workStep
+	ct, cw := &r.clockStep, &r.workStep
 	for target-t >= limit && w < workCap {
 		if e := math.Float64bits(t) >> 52; e != ct.exp {
-			ct.fill(e, &c.clockAdds)
+			ct.fill(e, &r.clockAdds)
 		}
 		if e := math.Float64bits(w) >> 52; e != cw.exp {
-			cw.fill(e, &c.workAdds)
+			cw.fill(e, &r.workAdds)
 		}
 		var k int64
 		dt, dw := ct.step, cw.step
@@ -450,12 +484,12 @@ func (c *compiled) fastForward(t, w, target, workCap float64) (float64, float64,
 		}
 		if k == 0 {
 			snap = w
-			t += c.clockAdds[0]
-			t += c.clockAdds[1]
-			t += c.clockAdds[2]
-			w += c.workAdds[0]
-			w += c.workAdds[1]
-			w += c.workAdds[2]
+			t += r.clockAdds[0]
+			t += r.clockAdds[1]
+			t += r.clockAdds[2]
+			w += r.workAdds[0]
+			w += r.workAdds[1]
+			w += r.workAdds[2]
 			continue
 		}
 		snap = w + float64(k-1)*dw
@@ -659,14 +693,18 @@ func (c *compiled) faultFreeMakespan(workTarget float64) float64 {
 	if workTarget <= 0 {
 		return 0
 	}
-	w := c.periodWork
-	full := math.Floor(workTarget / w)
-	rem := workTarget - full*w
-	tm := full * c.period
+	full := math.Floor(workTarget / c.periodWork)
+	return c.scheduleTime(full*c.period, workTarget-full*c.periodWork)
+}
+
+// scheduleTime returns tm plus the time a fault-free period takes, from
+// its start, to accomplish rem ≤ periodWork work (nothing for rem ≤
+// workEps): the within-period inverse of scheduleWork, walking the
+// phases in order.
+func (c *compiled) scheduleTime(tm, rem float64) float64 {
 	if rem <= workEps {
 		return tm
 	}
-	// Walk the phases of the last, partial period.
 	c1, c2 := c.phases.Ckpt1, c.phases.Ckpt2
 	if c.pr.IsTriple() && c.exRate > 0 {
 		cap1 := c1 * c.exRate

@@ -17,15 +17,18 @@ import (
 // sampled in per-lane batches.
 //
 // The kernel has one mode. Every method is a port of engine.go onto
-// lane-indexed state, with two substitutions: a fault-free stretch of
-// k whole periods is fast-forwarded in closed form (two multiply-adds
-// instead of the scalar walk's k dependent add chains), and the
-// inter-arrival times come from the log-free ziggurat sampler
-// (rng.Stream.ExpZiggurat) instead of the inverse CDF. Results
-// therefore differ from the scalar Runner in accumulated rounding and
-// in the draw sequence: the equivalence is statistical (3σ tests on
-// every protocol family, plain and reflected). The path stays fully
-// deterministic: a fixed seed yields fixed bits, so the chunked
+// lane-indexed state, with two substitutions. A lane moves from one
+// failure to the next in closed form: on the schedule, advanceLane
+// does period arithmetic on the lane's position in its period (whole
+// periods, the landing offset, the commits passed) where the scalar
+// engine walks segment by segment, and it resolves completion with
+// the schedule's within-period inverse. And the inter-arrival times
+// come from the log-free ziggurat sampler (rng.Stream.ExpZiggurat)
+// instead of the inverse CDF. Results therefore differ from the scalar
+// Runner in rounding (FuzzLaneAdvance bounds one advance at 1e-9 of the
+// clock) and in the draw sequence: the equivalence is statistical (3σ
+// tests on every protocol family, plain and reflected). The path stays
+// fully deterministic: a fixed seed yields fixed bits, so the chunked
 // aggregation's worker-count independence is untouched. The plain
 // (RunManySeeded) and the antithetic (RunAntitheticSeeded) schedules
 // both run here; a reflected lane draws the ziggurat on the
@@ -60,9 +63,15 @@ const minLaneWidth = 8
 // fall back to the scalar Runner.
 type LaneRunner struct {
 	compiled
-	width   int
-	workCap float64 // tbase − 2·periodWork, the scalar replay work cap
-	bufLen  int
+	width  int
+	bufLen int
+
+	// commitOffset is the period offset of the snapshot commit: the end
+	// of phase 1 for the triple protocols and of phase 2 (at most the
+	// period) for the double ones. invPeriod is 1/period, for the
+	// schedule's period count (corrected against the period either way).
+	commitOffset float64
+	invPeriod    float64
 
 	// SoA timeline state, indexed by lane.
 	t               []float64
@@ -89,12 +98,6 @@ type LaneRunner struct {
 	evTime  []float64 // width × bufLen, lane l owns [l·bufLen, (l+1)·bufLen)
 	evNode  []int32
 	evPos   []int
-
-	// Reciprocals of the period spans, precomputed for the replay
-	// period-count candidates (a multiply instead of a divide; the
-	// candidate is corrected against the exact bounds either way).
-	invPeriod     float64
-	invPeriodWork float64
 
 	// Batch-executor scratch (aggregateLanes), kept with the runner so
 	// that a pooled runner serves a batch without allocating: one
@@ -153,13 +156,10 @@ func (b *Batch) NewLaneRunner(width int) (*LaneRunner, error) {
 // which is what lets one process-wide pool serve every batch.
 func (lr *LaneRunner) bind(b *Batch) {
 	lr.compiled = b.c
-	lr.workCap = lr.tbase - 2*lr.periodWork
-	lr.invPeriod, lr.invPeriodWork = 0, 0
-	if lr.period > 0 {
-		lr.invPeriod = 1 / lr.period
-	}
-	if lr.periodWork > 0 {
-		lr.invPeriodWork = 1 / lr.periodWork
+	lr.invPeriod = 1 / lr.period
+	lr.commitOffset = lr.phases.Ckpt1
+	if !lr.pr.IsTriple() {
+		lr.commitOffset = fmin(lr.phases.Ckpt1+lr.phases.Ckpt2, lr.period)
 	}
 	for l := range lr.merged {
 		lr.merged[l] = *failure.NewMerged(lr.p.N, lr.p.M, &lr.streams[l])
@@ -291,198 +291,138 @@ func (lr *LaneRunner) stepLane(l int) {
 	}
 }
 
-// advanceLane is the lane port of engine.advanceUntil. Where the
-// scalar engine calls replayPeriods, a lane fast-forwards in closed
-// form: the guard is the scalar condition plus replayPeriods' own
-// first-iteration conditions (periodWork > 0, work below the cap, a
-// full period of headroom), so at least one period always replays and
-// an unguarded lane proceeds stepwise exactly where the scalar walk
-// would. It reports whether the work target was reached (the run is
-// done) before the timeline reached target.
-// The hot per-lane state lives in locals for the whole walk — one load
-// per field on entry, one store on exit — so the inner loop works on
-// registers instead of bounds-checked slice cells. Outside the
-// fast-forward every float operation is the scalar sequence unchanged;
-// the state is flushed before the rare commitLane call (which reads
-// the lane's clock) and at every return.
+// advanceLane is the lane port of engine.advanceUntil: it advances
+// lane l to target, or until the work reaches Tbase, and reports
+// whether the run completed. The modes only ever follow one another in
+// the order stall → re-execution → schedule, so each is one
+// straight-line block that either stops the lane or hands it to the
+// next. Stall and re-execution take the scalar walk's steps, bit for
+// bit: at most one per rate, the reduced rate lasting while the buddy
+// images are re-received. The schedule is period arithmetic instead of
+// a segment walk (DESIGN.md, "Lane kernel").
 func (lr *LaneRunner) advanceLane(l int, target float64) bool {
-	var (
-		t       = lr.t[l]
-		work    = lr.work[l]
-		offset  = lr.offset[l]
-		md      = lr.md[l]
-		stall   = lr.stallRemaining[l]
-		reexec  = lr.reexecRemaining[l]
-		overlap = lr.overlapRemain[l]
-		triple  = lr.pr.IsTriple()
-	)
-	for t < target-workEps {
-		dt := target - t
-		switch md {
-		case modeSchedule:
-			if offset == 0 && lr.riskUntil[l] <= t && dt >= lr.period+workEps &&
-				lr.periodWork > 0 && work < lr.workCap {
-				// Fast-forward: k whole fault-free periods
-				// collapse to closed form. The reciprocal candidate is
-				// corrected against the exact monotone bounds, so k is a
-				// pure deterministic function of (t, work, target) — the
-				// guard above is canReplay(0), so k ≥ 1 always holds.
-				t0, w0 := t, work
-				// The time bound leaves one full period of headroom
-				// (canReplay needs target−tj ≥ period), so its candidate is
-				// the quotient minus one; starting there, the corrections
-				// usually terminate on their first probe each.
-				k := int64(fmin((target-t0)*lr.invPeriod-1, (lr.workCap-w0)*lr.invPeriodWork))
-				for k > 1 && !lr.canReplay(t0, w0, target, k-1) {
-					k--
-				}
-				if k < 1 {
-					k = 1
-				}
-				for lr.canReplay(t0, w0, target, k) {
-					k++
-				}
-				t = t0 + float64(k)*lr.period
-				work = w0 + float64(k)*lr.periodWork
-				lr.snapshotWork[l] = w0 + float64(k-1)*lr.periodWork
-				lr.periodStartWork[l] = work
-				lr.comp[l] = lr.comp[l][:0]
-				lr.everCommitted[l] = true
-				continue
-			}
-			idx, rate, segEnd := lr.segment(offset)
-			step := fmin(dt, segEnd-offset)
-			// The completion clamp can only bind within the last period of
-			// work (need < step requires tbase − work < rate·step ≤ one
-			// period's work); the cheap pre-filter skips the division —
-			// ~15 cycles on the critical path of every segment step —
-			// everywhere else, with a full period of slack over rounding.
-			if rate > 0 && work+rate*step >= lr.tbase-lr.period {
-				if need := (lr.tbase - work) / rate; need < step {
-					step = need
-				}
-			}
-			t += step
-			offset += step
-			work += rate * step
-			if work >= lr.tbase-workEps {
-				lr.t[l], lr.work[l], lr.offset[l], lr.md[l] = t, work, offset, md
-				lr.stallRemaining[l], lr.reexecRemaining[l], lr.overlapRemain[l] = stall, reexec, overlap
-				return true
-			}
-			if offset >= segEnd-workEps {
-				// crossBoundaryLane, on the cached state.
-				switch idx {
-				case 1:
-					if triple {
-						lr.t[l] = t
-						lr.commitLane(l)
-					}
-					offset = segEnd
-				case 2:
-					if !triple {
-						lr.t[l] = t
-						lr.commitLane(l)
-					}
-					offset = segEnd
-				default:
-					lr.periodStartWork[l] = work
-					offset = 0
-				}
-			}
-		case modeStall:
-			step := fmin(dt, stall)
-			t += step
-			stall -= step
-			if stall <= workEps {
-				stall = 0
-				md = modeReexec
-			}
-		case modeReexec:
-			rate := 1.0
-			limit := dt
-			if overlap > 0 {
-				rate = lr.exRate
-				limit = fmin(limit, overlap)
-			}
-			if reexec <= workEps {
-				// finishReexecLane, on the cached state.
-				md = modeSchedule
-				reexec = 0
-				offset = lr.resumeOffset[l]
-				if offset == 0 {
-					lr.periodStartWork[l] = work
-				}
-				continue
-			}
-			step := limit
-			if rate == 1 {
-				// x/1.0 is exactly x: the common full-speed re-execution
-				// path skips the division bitwise-identically.
-				if reexec < step {
-					step = reexec
-				}
-			} else if rate > 0 {
-				if need := reexec / rate; need < step {
-					step = need
-				}
-			}
-			if rate > 0 && work+rate*step >= lr.tbase-lr.period {
-				if need := (lr.tbase - work) / rate; need < step {
-					step = need
-				}
+	t := lr.t[l]
+	if lr.md[l] == modeStall && t < target-workEps {
+		step := fmin(target-t, lr.stallRemaining[l])
+		t += step
+		lr.stallRemaining[l] -= step
+		if lr.stallRemaining[l] <= workEps {
+			lr.stallRemaining[l] = 0
+			lr.md[l] = modeReexec
+		}
+	}
+	if lr.md[l] == modeReexec && t < target-workEps {
+		work, reexec, overlap := lr.work[l], lr.reexecRemaining[l], lr.overlapRemain[l]
+		if overlap > 0 && reexec > workEps {
+			rate := lr.exRate
+			step := fmin(target-t, overlap)
+			if rate > 0 {
+				// Division is monotone, so min(a, b)/rate is the scalar's
+				// min(a/rate, b/rate) with one division.
+				step = fmin(step, fmin(reexec, lr.tbase-work)/rate)
 			}
 			t += step
 			work += rate * step
 			reexec -= rate * step
-			if overlap > 0 {
-				overlap -= step
-				if overlap < workEps {
-					overlap = 0
-				}
-			}
-			if work >= lr.tbase-workEps {
-				lr.t[l], lr.work[l], lr.offset[l], lr.md[l] = t, work, offset, md
-				lr.stallRemaining[l], lr.reexecRemaining[l], lr.overlapRemain[l] = stall, reexec, overlap
-				return true
-			}
-			if reexec <= workEps {
-				md = modeSchedule
-				reexec = 0
-				offset = lr.resumeOffset[l]
-				if offset == 0 {
-					lr.periodStartWork[l] = work
-				}
+			overlap -= step
+			if overlap < workEps {
+				overlap = 0
 			}
 		}
+		if overlap == 0 && reexec > workEps && work < lr.tbase-workEps && t < target-workEps {
+			step := fmin(target-t, fmin(reexec, lr.tbase-work))
+			t += step
+			work += step
+			reexec -= step
+		}
+		lr.work[l], lr.overlapRemain[l] = work, overlap
+		if work >= lr.tbase-workEps {
+			lr.t[l], lr.reexecRemaining[l] = t, reexec
+			return true
+		}
+		if reexec > workEps {
+			lr.t[l], lr.reexecRemaining[l] = target, reexec
+			return false
+		}
+		// finishReexec: back on the schedule at the resume offset.
+		lr.md[l] = modeSchedule
+		lr.reexecRemaining[l] = 0
+		lr.offset[l] = lr.resumeOffset[l]
+		if lr.offset[l] == 0 {
+			lr.periodStartWork[l] = work
+		}
 	}
-	t = target
-	lr.t[l], lr.work[l], lr.offset[l], lr.md[l] = t, work, offset, md
-	lr.stallRemaining[l], lr.reexecRemaining[l], lr.overlapRemain[l] = stall, reexec, overlap
+	if lr.md[l] != modeSchedule || t >= target-workEps {
+		lr.t[l] = target
+		return false
+	}
+
+	// Schedule. Here the work level is periodStartWork +
+	// scheduleWork(offset) up to rounding, so the lane moves its position
+	// in the period and derives the work from it: s is target's position
+	// from the current period start, k the whole periods it lies ahead
+	// and o its offset in that period.
+	o0, p0 := lr.offset[l], lr.periodStartWork[l]
+	s := o0 + (target - t)
+	k := math.Floor(s * lr.invPeriod)
+	o := s - k*lr.period
+	if o < 0 {
+		k, o = k-1, o+lr.period
+	} else if o >= lr.period {
+		k, o = k+1, o-lr.period
+	}
+	work := p0 + k*lr.periodWork + lr.scheduleWork(o)
+	done := work >= lr.tbase-workEps
+	if done {
+		// The work reaches Tbase by target: the completion instant is the
+		// schedule's inverse from the period start, kept within [o0, s]
+		// against rounding.
+		need := lr.tbase - p0
+		kc := math.Floor(need / lr.periodWork)
+		oc := lr.scheduleTime(0, need-kc*lr.periodWork)
+		if oc == 0 {
+			// Reached at the end of the previous period, which is
+			// after its commit (or, at σ = 0, at it).
+			kc, oc = kc-1, lr.period
+		}
+		if kc < k || kc == k && oc < o {
+			k, o = kc, oc
+		}
+		if k < 0 || k == 0 && o < o0 {
+			k, o = 0, o0
+		}
+		work = lr.tbase
+	}
+
+	// Commits: one at commitOffset in every period the lane passes it,
+	// periods j0..j counted from the current one (the scalar completes
+	// before committing at the completion instant itself). The first
+	// commit closes the open risk windows; the last sets the snapshot.
+	j := k
+	if o < lr.commitOffset || done && o == lr.commitOffset {
+		j--
+	}
+	j0 := 0.0
+	if o0 >= lr.commitOffset {
+		j0 = 1
+	}
+	if j >= j0 {
+		tc := t + (j0*lr.period + lr.commitOffset - o0)
+		lr.snapshotWork[l] = p0 + j*lr.periodWork
+		lr.everCommitted[l] = true
+		lr.comp[l] = lr.comp[l][:0]
+		if lr.riskUntil[l] > tc {
+			lr.res[l].RiskTime -= lr.riskUntil[l] - tc
+			lr.riskUntil[l] = tc
+		}
+	}
+	lr.work[l], lr.offset[l], lr.periodStartWork[l] = work, o, p0+k*lr.periodWork
+	if done {
+		lr.t[l] = t + (k*lr.period + o - o0)
+		return true
+	}
+	lr.t[l] = target
 	return false
-}
-
-// canReplay reports whether the closed-form fast-forward may replay
-// period j+1: after j whole periods from (t0, w0), a full period of
-// time headroom remains and the work cap is unreached. Both bounds are
-// monotone in j (exact integer-to-float conversion, monotone multiply
-// and add), so the count correction converges from either side.
-func (lr *LaneRunner) canReplay(t0, w0, target float64, j int64) bool {
-	tj := t0 + float64(j)*lr.period
-	wj := w0 + float64(j)*lr.periodWork
-	return target-tj >= lr.period+workEps && wj < lr.workCap
-}
-
-// commitLane is the lane port of engine.commit (lanes never carry a
-// commit observer); advanceLane flushes the lane clock before calling.
-func (lr *LaneRunner) commitLane(l int) {
-	lr.snapshotWork[l] = lr.periodStartWork[l]
-	lr.everCommitted[l] = true
-	lr.comp[l] = lr.comp[l][:0]
-	if lr.riskUntil[l] > lr.t[l] {
-		lr.res[l].RiskTime -= lr.riskUntil[l] - lr.t[l]
-		lr.riskUntil[l] = lr.t[l]
-	}
 }
 
 // applyFailureLane is the lane port of engine.applyFailure. It returns

@@ -13,8 +13,10 @@ import (
 
 // laneTestConfigs spans the regimes the lane kernel must replicate:
 // every protocol family (double/triple, blocking/non-blocking),
-// healthy and hostile MTBFs (long replay waves vs failure-rich
-// stepwise walks), φ = 0 and φ > 0, and a saturating horizon.
+// healthy and hostile MTBFs (many fault-free periods per failure vs a
+// failure every few periods), φ = 0 and φ > 0, a saturating horizon,
+// and a long high-pressure run where failures land after re-execution
+// in every phase and single advances span many periods.
 func laneTestConfigs() []Config {
 	p := scenario.Base().Params
 	var cfgs []Config
@@ -30,6 +32,7 @@ func laneTestConfigs() []Config {
 		Config{Protocol: core.TripleBoF, Params: p.WithMTBF(150), Phi: 0, Tbase: 5e3},
 		// Tight horizon: some runs saturate instead of completing.
 		Config{Protocol: core.DoubleBoF, Params: p.WithMTBF(300), Phi: 1, Tbase: 1e4, MaxSimTime: 1.2e4},
+		Config{Protocol: core.DoubleNBL, Params: p.WithMTBF(600), Phi: 1, Tbase: 1e5},
 	)
 	return cfgs
 }

@@ -14,7 +14,7 @@ import (
 // replay loop of the stepwise walk (phase 1 adds work only for the
 // triple protocols), run for at most maxPeriods periods. ok is false
 // when the cap cut it short.
-func replayLoop(c *compiled, triple bool, t, w, target, workCap float64, maxPeriods int) (tEnd, wEnd, snap float64, ok bool) {
+func replayLoop(c *periodReplay, triple bool, t, w, target, workCap float64, maxPeriods int) (tEnd, wEnd, snap float64, ok bool) {
 	limit := c.period + workEps
 	snap = w
 	for n := 0; target-t >= limit && w < workCap; n++ {
@@ -35,19 +35,18 @@ func replayLoop(c *compiled, triple bool, t, w, target, workCap float64, maxPeri
 	return t, w, snap, true
 }
 
-// replayCompiled is the part of a compiled batch the fast-forward
-// reads. The double protocols store a zero phase-1 work addend, as
-// compileConfig does.
-func replayCompiled(clock, work [3]float64, triple bool) *compiled {
+// replayOf builds the fast-forward state from raw addends. The double
+// protocols store a zero phase-1 work addend, as newPeriodReplay does.
+func replayOf(clock, work [3]float64, triple bool) *periodReplay {
 	if !triple {
 		work[0] = 0
 	}
-	return &compiled{period: clock[0] + clock[1] + clock[2], clockAdds: clock, workAdds: work}
+	return &periodReplay{period: clock[0] + clock[1] + clock[2], clockAdds: clock, workAdds: work}
 }
 
 // checkFastForward compares fastForward against replayLoop bit for bit.
 // It reports false, without checking, when the loop runs past maxPeriods.
-func checkFastForward(tb testing.TB, c *compiled, triple bool, t0, w0, target, workCap float64, maxPeriods int) bool {
+func checkFastForward(tb testing.TB, c *periodReplay, triple bool, t0, w0, target, workCap float64, maxPeriods int) bool {
 	tb.Helper()
 	wantT, wantW, wantSnap, ok := replayLoop(c, triple, t0, w0, target, workCap, maxPeriods)
 	if !ok {
@@ -193,11 +192,12 @@ func TestFastForwardMatchesLoop(t *testing.T) {
 			}
 		case protocols:
 			b := batches[r.IntN(len(batches))]
-			clock, work, triple = b.c.clockAdds, b.c.workAdds, b.c.pr.IsTriple()
+			ff := newPeriodReplay(&b.c)
+			clock, work, triple = ff.clockAdds, ff.workAdds, b.c.pr.IsTriple()
 			t0 = logUniform(r, 1, 1e6)
 			w0 = r.Float64() * t0
 		}
-		c := replayCompiled(clock, work, triple)
+		c := replayOf(clock, work, triple)
 		pw := c.workAdds[0] + c.workAdds[1] + c.workAdds[2]
 		target := t0 + r.Float64()*200*c.period
 		workCap := w0 + r.Float64()*200*pw
@@ -256,7 +256,7 @@ func TestFastForwardMatchesLoop(t *testing.T) {
 func FuzzExactReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, c1, seg2, seg3, wc1, wc2 float64, triple bool,
 		t0, w0, target, workCap float64) {
-		c := replayCompiled([3]float64{c1, seg2, seg3}, [3]float64{wc1, wc2, seg3}, triple)
+		c := replayOf([3]float64{c1, seg2, seg3}, [3]float64{wc1, wc2, seg3}, triple)
 		if !checkFastForward(t, c, triple, t0, w0, target, workCap, 1e5) {
 			t.Skip("reference loop runs past 10⁵ periods")
 		}
@@ -281,9 +281,9 @@ func TestRunnerReboundMatchesFresh(t *testing.T) {
 			rebound = b.NewRunner()
 		} else {
 			rebound.bind(b)
-			if rebound.e.clockStep != (binadeStep{}) || rebound.e.workStep != (binadeStep{}) {
+			if rebound.e.ff.clockStep != (binadeStep{}) || rebound.e.ff.workStep != (binadeStep{}) {
 				t.Fatalf("step %d: bind kept the previous batch's fast-forward steps %+v, %+v",
-					step, rebound.e.clockStep, rebound.e.workStep)
+					step, rebound.e.ff.clockStep, rebound.e.ff.workStep)
 			}
 		}
 		fresh := b.NewRunner()
@@ -309,7 +309,8 @@ func tieRebindConfigs(t *testing.T) []Config {
 	}
 	visited := func(c compiled) map[int]bool {
 		set := map[int]bool{}
-		for _, adds := range [][3]float64{c.clockAdds, c.workAdds} {
+		ff := newPeriodReplay(&c)
+		for _, adds := range [][3]float64{ff.clockAdds, ff.workAdds} {
 			for _, e := range tieBinades(adds) {
 				if e >= binade(c.period) && e <= binade(c.tbase) {
 					set[e] = true
