@@ -133,9 +133,10 @@ func tieWindow(c *compiled, t, target float64) float64 {
 }
 
 // laneAdvanceConfigs are the batches the advance tests draw from: every
-// protocol family, φ at 0, mid-range and R (where the double blocking
-// protocol's exchange does no work), a σ = 0 period whose phase 3 is
-// empty, the long-horizon high-pressure point and a tight horizon.
+// protocol family, φ at 0, mid-range and R (where the exchange does no
+// work, as the blocking protocol's does at every φ), a σ = 0 period
+// whose phase 3 is empty, the long-horizon high-pressure point and a
+// tight horizon.
 func laneAdvanceConfigs() []Config {
 	p := scenario.Base().Params
 	var cfgs []Config

@@ -27,8 +27,9 @@ type compiled struct {
 	tbase   float64 // failure-free application duration
 	horizon float64 // absolute simulation-time bound
 	// periodWork is the work accomplished by one full fault-free
-	// period (= scheduleWork(period)); the fast-forwards of both
-	// kernels advance whole periods by it instead of walking segments.
+	// period (= scheduleWork(period)); the lane kernel advances whole
+	// periods by it, and the scalar fast-forward stops two of it short
+	// of Tbase.
 	periodWork float64
 	// impFatal is the first-order fatal-chain probability charged per
 	// observed failure (λ·risk for pairs, 2(λ·risk)² for triples).
