@@ -239,12 +239,14 @@ func BenchmarkExtensionWeibull(b *testing.B) {
 	b.ReportMetric(points[0].BestMultiplier, "best-period-mult")
 }
 
-// BenchmarkEngineThroughput measures raw simulator speed on a
-// 30-minute-MTBF platform. The headline metric is rate-based —
-// simulated failures processed per wall-clock second — alongside
-// allocations per run, so kernel regressions show up whether they cost
-// time or memory. cmd/bench runs the same configuration and records it
-// in the committed perf trajectory (BENCH_PR2.json).
+// BenchmarkEngineThroughput measures the one-shot sim.Run (compile
+// plus one scalar run per call) on a 30-minute-MTBF platform. The
+// headline metric is rate-based — simulated failures processed per
+// wall-clock second — alongside allocations per run, so regressions
+// show up whether they cost time or memory. cmd/bench runs the same
+// configuration, but its engine_throughput row times the lane kernel
+// (compile once, full-width RunBatch calls) and its runner_throughput
+// row the compiled scalar Runner.
 func BenchmarkEngineThroughput(b *testing.B) {
 	cfg := sim.Config{
 		Protocol: core.DoubleNBL,
@@ -265,32 +267,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		total += res.Failures
 	}
 	b.ReportMetric(float64(failures), "failures/run")
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(total)/secs, "failures/sec")
-	}
-}
-
-// BenchmarkRunnerThroughput is BenchmarkEngineThroughput over the
-// compiled-batch path (sim.Compile + Runner): the per-run compile and
-// allocation cost disappears, which is the configuration RunMany and
-// the sweep engine actually execute.
-func BenchmarkRunnerThroughput(b *testing.B) {
-	batch, err := sim.Compile(sim.Config{
-		Protocol: core.DoubleNBL,
-		Params:   scenario.Base().Params.WithMTBF(1800),
-		Phi:      1,
-		Tbase:    1e6,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := batch.NewRunner()
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += r.Run(uint64(i)).Failures
-	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(total)/secs, "failures/sec")
 	}
