@@ -116,18 +116,12 @@ func throughputConfig() sim.Config {
 
 // metric converts a BenchmarkResult into a one-sample row.
 func metric(r testing.BenchmarkResult) Metric {
-	m := Metric{
+	return Metric{
 		NsOp:     nsOp(r),
 		AllocsOp: r.AllocsPerOp(),
 		BytesOp:  r.AllocedBytesPerOp(),
+		Extra:    r.Extra,
 	}
-	if len(r.Extra) > 0 {
-		m.Extra = make(map[string]float64, len(r.Extra))
-		for k, v := range r.Extra {
-			m.Extra[k] = v
-		}
-	}
-	return m
 }
 
 func nsOp(r testing.BenchmarkResult) float64 {
@@ -391,12 +385,10 @@ func summarize(name string, ms []Metric) Metric {
 		NsSamples: ns,
 		AllocsOp:  int64(math.Round(median(allocs))),
 		BytesOp:   int64(math.Round(median(bytes))),
+		Extra:     make(map[string]float64, len(extra)),
 	}
-	if len(extra) > 0 {
-		out.Extra = make(map[string]float64, len(extra))
-		for k, vs := range extra {
-			out.Extra[k] = median(vs)
-		}
+	for k, vs := range extra {
+		out.Extra[k] = median(vs)
 	}
 	return out
 }
