@@ -211,7 +211,6 @@ func main() {
 			Normalize:         svc.NormalizeJobRequest,
 			ResultsAppendHook: injector.AppendHook(),
 			Replicate:         repl,
-			JanitorSeed:       int64(chaosSeed),
 		})
 		if err != nil {
 			return nil, err

@@ -384,42 +384,6 @@ func TestJobDedupeSpelledOutDefaults(t *testing.T) {
 	}
 }
 
-// TestJobsDirSharedManagers: per-job leases replaced the store-wide
-// flock, so a second manager over the same directory opens fine, and a
-// job finished under the first manager is adopted — same id, same
-// terminal state, no re-execution — when the identical request is
-// submitted to the second.
-func TestJobsDirSharedManagers(t *testing.T) {
-	svc := NewService(Options{})
-	dir := t.TempDir()
-	mgr1 := newJobsManager(t, svc, dir, 1)
-	mgr2 := newJobsManager(t, svc, dir, 1)
-
-	body := `{"protocols": ["DoubleNBL"], "phiFracs": [0.25], "mtbfs": [1800], "tbase": 5000, "runs": 2, "seed": 311}`
-	meta1, created, err := mgr1.Submit([]byte(body))
-	if err != nil || !created {
-		t.Fatalf("submit: meta %+v, created %v, err %v", meta1, created, err)
-	}
-	final, err := mgr1.Wait(context.Background(), meta1.ID)
-	if err != nil || final.State != jobs.Done {
-		t.Fatalf("first manager's job: %+v, err %v", final, err)
-	}
-	simPoints := svc.SimPoints()
-	meta2, created, err := mgr2.Submit([]byte(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created {
-		t.Error("resubmission on a sibling manager must adopt the on-disk job, not create a new one")
-	}
-	if meta2.ID != meta1.ID || meta2.State != jobs.Done || meta2.Completed != final.Completed {
-		t.Errorf("adopted job %+v does not mirror the on-disk terminal state %+v", meta2, final)
-	}
-	if got := svc.SimPoints(); got != simPoints {
-		t.Errorf("adoption re-simulated: %d points before, %d after", simPoints, got)
-	}
-}
-
 // TestJobSubmitValidation: a bad job body is rejected at submission
 // (400 with the error envelope), never enqueued.
 func TestJobSubmitValidation(t *testing.T) {

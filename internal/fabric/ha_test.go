@@ -140,11 +140,9 @@ func (n *haNode) onPromote(term uint64, repl *Replicator) (func(), error) {
 	mgr, err := jobs.NewManager(jobs.Config{
 		Dir:             n.dir,
 		CheckpointEvery: 2,
-		LeaseProbeEvery: 50 * time.Millisecond,
 		Exec:            exec,
 		Normalize:       n.svc.NormalizeJobRequest,
 		Replicate:       repl,
-		JanitorSeed:     1,
 	})
 	if err != nil {
 		return nil, err

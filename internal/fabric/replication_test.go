@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -384,6 +386,58 @@ func TestReplicationFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(frameAll(replLine(0)), one) {
 		t.Fatal("frameAll disagrees with api.AppendFrameLine")
 	}
+}
+
+// FuzzUnframeAll checks the replica's checkpoint-body decoder on any
+// bytes. It never panics. An accepted body is a run of frames, each the
+// CRC-32C of its payload in 8 hex digits, a space and one
+// newline-terminated payload, and the decoder returns the payloads
+// concatenated. Any single-byte change to an accepted body's payload
+// bytes is rejected. The seed corpus (testdata/fuzz/FuzzUnframeAll)
+// holds a torn last frame, an unframed line, an uppercase hex frame,
+// an empty body and a non-hex prefix.
+func FuzzUnframeAll(f *testing.F) {
+	f.Add(frameAll(replLines(0, 3)), byte(1))
+	f.Fuzz(func(t *testing.T, body []byte, mask byte) {
+		lines, err := unframeAll(body)
+		if err != nil {
+			return
+		}
+		var want []byte
+		var payload []int // offsets in body of every payload byte
+		for off, rest := 0, body; len(rest) > 0; {
+			nl := bytes.IndexByte(rest, '\n')
+			if nl < 9 || rest[8] != ' ' {
+				t.Fatalf("accepted a malformed frame at byte %d: %q", off, rest)
+			}
+			sum, perr := strconv.ParseUint(string(rest[:8]), 16, 32)
+			if perr != nil || uint32(sum) != crc32.Checksum(rest[9:nl+1], crc32.MakeTable(crc32.Castagnoli)) {
+				t.Fatalf("accepted a frame whose prefix is not its payload's CRC-32C at byte %d: %q", off, rest[:nl+1])
+			}
+			want = append(want, rest[9:nl+1]...)
+			for i := off + 9; i <= off+nl; i++ {
+				payload = append(payload, i)
+			}
+			off += nl + 1
+			rest = rest[nl+1:]
+		}
+		if !bytes.Equal(lines, want) {
+			t.Fatalf("decoded %q, want the payloads %q", lines, want)
+		}
+		if mask == 0 {
+			mask = 1
+		}
+		// Every payload byte up to 512 of them, evenly spaced beyond, so
+		// a long body costs O(n), not O(n²).
+		mutated := make([]byte, len(body))
+		for k := 0; k < len(payload); k += 1 + len(payload)/512 {
+			copy(mutated, body)
+			mutated[payload[k]] ^= mask
+			if got, err := unframeAll(mutated); err == nil {
+				t.Fatalf("payload byte %d changed by ^%#02x was accepted: %q", payload[k], mask, got)
+			}
+		}
+	})
 }
 
 // TestReplicaStatusEndpoints smoke-tests the read side: GET job state

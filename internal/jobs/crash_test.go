@@ -2,10 +2,13 @@ package jobs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -241,4 +244,103 @@ func TestCrashAtEveryFsyncBoundary(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzStoreRecovery generalises TestCrashAtEveryFsyncBoundary from the
+// states a crashed checkpoint can leave to any bytes: the three inputs
+// become one 12-point job's meta.json, results.ndjson and results.sum,
+// and a Manager opens the directory. It must never panic, and the job
+// must land in one pinned state:
+//
+//   - skipped (ErrNotFound), when its meta is unreadable;
+//   - its on-disk terminal state, untouched;
+//   - Failed with ErrCorruptResults, when a well-formed sidecar record
+//     disagrees with its line or there are more lines than points;
+//   - otherwise Done: the complete lines it kept, byte for byte, then
+//     the stub executor's lines, which is byte-identical to an
+//     uninterrupted run whenever the kept lines are the stub's.
+//
+// Recovery trusts a line that no well-formed record contradicts (a
+// crash between the results and sidecar fsyncs leaves such lines), so
+// the last state cannot demand the stub's bytes for a forged prefix.
+// The seed corpus (testdata/fuzz/FuzzStoreRecovery) holds the crash
+// matrix's states at every boundary, a finished job, a fresh one, and
+// faults in the meta and in the line count.
+func FuzzStoreRecovery(f *testing.F) {
+	const n = 12
+	canonical, _, err := stubNormalize([]byte(fmt.Sprintf(`{"n": %d}`, n)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	id := IDFor(canonical)
+	f.Fuzz(func(t *testing.T, meta, results, sums []byte) {
+		dir := t.TempDir()
+		jobDir := filepath.Join(dir, id)
+		if err := os.MkdirAll(jobDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeFile(t, filepath.Join(jobDir, "request.json"), canonical)
+		writeFile(t, filepath.Join(jobDir, "meta.json"), meta)
+		writeFile(t, filepath.Join(jobDir, "results.ndjson"), results)
+		writeFile(t, filepath.Join(jobDir, "results.sum"), sums)
+		disk, diskErr := (&Store{dir: dir}).ReadMeta(id)
+
+		m := newTestManager(t, dir, nil)
+		got, err := m.Get(id)
+		switch {
+		case diskErr != nil:
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("unreadable meta (%v) was loaded as %+v", diskErr, got)
+			}
+			return
+		case disk.State.Terminal():
+			if err != nil || got != disk {
+				t.Fatalf("terminal job loaded as %+v (err %v), want %+v", got, err, disk)
+			}
+			return
+		}
+		final, err := m.Wait(waitCtx(t), id)
+		if err != nil {
+			t.Fatalf("wait: %v (job %+v)", err, final)
+		}
+		kept, lines, corrupt := verifiedPrefix(results, sums)
+		if corrupt || lines > n {
+			if final.State != Failed || !strings.Contains(final.Error, ErrCorruptResults.Error()) {
+				t.Fatalf("corrupt store recovered as %+v, want failed with %v", final, ErrCorruptResults)
+			}
+			return
+		}
+		if final.State != Done {
+			t.Fatalf("recovered job %+v, want done", final)
+		}
+		want := append(append([]byte(nil), kept...), wantLines(n)[len(wantLines(lines)):]...)
+		data, err := os.ReadFile(filepath.Join(jobDir, "results.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("recovered results:\n%q\nwant:\n%q", data, want)
+		}
+	})
+}
+
+// verifiedPrefix is the recovery contract restated for the fuzzer: the
+// complete lines of results survive; the sidecar's records are read up
+// to the first malformed one; and a well-formed record that disagrees
+// with its line makes the file corrupt.
+func verifiedPrefix(results, sums []byte) (kept []byte, lines int, corrupt bool) {
+	kept = results[:bytes.LastIndexByte(results, '\n')+1]
+	for rest := kept; len(rest) > 0; lines++ {
+		nl := bytes.IndexByte(rest, '\n')
+		if rec := (lines + 1) * sumRecordLen; rec <= len(sums) && !corrupt {
+			stored, err := strconv.ParseUint(string(sums[rec-sumRecordLen:rec-1]), 16, 32)
+			if err != nil || sums[rec-1] != '\n' {
+				sums = nil // torn from here on
+			} else if uint32(stored) != crc32.Checksum(rest[:nl+1], crc32.MakeTable(crc32.Castagnoli)) {
+				corrupt = true
+			}
+		}
+		rest = rest[nl+1:]
+	}
+	return kept, lines, corrupt
 }

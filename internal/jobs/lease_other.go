@@ -3,7 +3,8 @@
 package jobs
 
 // acquireLease is a no-op on platforms without flock semantics; the
-// per-job single-executor guard is advisory and Unix-only.
+// per-job lease and the directory's .manager lock are advisory and
+// Unix-only.
 func acquireLease(path string) (release func(), err error) {
 	return func() {}, nil
 }

@@ -10,14 +10,9 @@ import (
 
 // acquireLease takes a non-blocking exclusive advisory flock on path,
 // creating the file if needed. It returns ErrLeaseHeld when another
-// process (or another Manager in this process) holds the lease. The
-// kernel releases the lock when the holder dies, so a kill -9 never
-// leaves a stale lease behind (unlike a pid file).
-//
-// Leases are per job, not per store: each Manager locks only the jobs
-// it is actively executing, so several managers can share one store
-// directory and run disjoint jobs concurrently — the single-node
-// single-writer assumption the distributed fabric refactors away.
+// open file holds the lock, in this process or another. The kernel
+// releases the lock when the holder dies, so a kill -9 never leaves a
+// stale lease behind (unlike a pid file).
 func acquireLease(path string) (release func(), err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {

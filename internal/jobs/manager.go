@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -45,19 +45,11 @@ type Config struct {
 	// CheckpointEvery flushes+fsyncs the results file and persists the
 	// progress marker every N completed points (default 16).
 	CheckpointEvery int
-	// LeaseProbeEvery is how often, on average, the manager re-probes
-	// jobs that are executing under another manager's lease (several
-	// managers may share one store directory), adopting their terminal
-	// states and taking over orphaned jobs whose holder died (default
-	// 1s). Each wakeup is jittered uniformly over [p/2, 3p/2) so a
-	// fleet of managers sharing one directory never synchronizes into
-	// periodic scan stampedes.
-	LeaseProbeEvery time.Duration
 	// MaxQueued bounds the number of jobs awaiting execution: a
 	// submission that would create a NEW job while the queue is at the
-	// bound is rejected with ErrQueueFull. Deduped resubmissions and
-	// adoptions of jobs already on disk are never rejected — refusing
-	// those would lose no work and help no one. Zero means unbounded.
+	// bound is rejected with ErrQueueFull. Deduped resubmissions of
+	// known jobs are never rejected — refusing them would lose no work
+	// and help no one. Zero means unbounded.
 	MaxQueued int
 	// Exec executes job requests.
 	Exec Executor
@@ -77,10 +69,13 @@ type Config struct {
 	// and the job resumes wherever the quorum survives. Nil (the
 	// single-node default) adds zero cost to the emit path.
 	Replicate ReplicationSink
-	// JanitorSeed seeds the janitor's rescan-jitter source, so lease
-	// takeover timing is replayable from a logged seed (the chaos
-	// matrix derives it from CHAOS_SEED). Zero derives a seed from the
-	// clock — still per-Manager, never the global math/rand state.
+	// JanitorSeed is read by nothing. It seeded the rescan jitter of a
+	// goroutine that mirrored the jobs of sibling managers sharing one
+	// directory; that mode is gone (one Manager per directory), and the
+	// field stays only because the benchmark harness still sets it.
+	//
+	// Deprecated: has no effect; it will be deleted once no caller
+	// sets it.
 	JanitorSeed int64
 	// now stamps Meta times; tests may override. Nil uses time.Now.
 	now func() time.Time
@@ -96,18 +91,14 @@ type job struct {
 	// to Submit's completion and runners cannot see the job (it is not
 	// queued until creating clears).
 	creating bool
-	// remote is true while another manager holds the job's execution
-	// lease: this manager mirrors the job's on-disk progress (the
-	// janitor refreshes it) instead of executing it, and takes over if
-	// the holder dies before finishing.
-	remote bool
-	subs   map[chan struct{}]struct{}
+	subs     map[chan struct{}]struct{}
 }
 
 // Manager owns the job lifecycle: it persists submissions through a
 // Store, schedules them over MaxConcurrent runner goroutines, streams
 // their results to followers, and resumes interrupted jobs on
-// restart. All methods are safe for concurrent use.
+// restart. It is the only manager of its directory for its lifetime.
+// All methods are safe for concurrent use.
 type Manager struct {
 	cfg   Config
 	store *Store
@@ -116,11 +107,10 @@ type Manager struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// jrand jitters the janitor's probe interval. It is owned by the
-	// janitor goroutine (the one caller of probeInterval), seeded per
-	// Manager so concurrent managers never share RNG state and a test
-	// run replays from Config.JanitorSeed.
-	jrand *rand.Rand
+	// unlock releases the directory's .manager lock; closeOnce runs
+	// Close's body, and with it unlock, once.
+	unlock    func()
+	closeOnce sync.Once
 
 	mu     sync.Mutex
 	cond   *sync.Cond // signals runners that queue/closed changed
@@ -132,8 +122,10 @@ type Manager struct {
 // NewManager opens the job directory, recovers persisted jobs —
 // running jobs from a previous process go back to pending and will
 // resume from their last durable point — and starts the runner
-// goroutines.
-func NewManager(cfg Config) (*Manager, error) {
+// goroutines. A directory has at most one live Manager, which holds a
+// flock on <dir>/.manager until Close: a second NewManager over it
+// fails until the first is closed.
+func NewManager(cfg Config) (m *Manager, err error) {
 	if cfg.Exec == nil || cfg.Normalize == nil {
 		return nil, errors.New("jobs: manager needs Exec and Normalize")
 	}
@@ -143,21 +135,28 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.CheckpointEvery < 1 {
 		cfg.CheckpointEvery = 16
 	}
-	if cfg.LeaseProbeEvery <= 0 {
-		cfg.LeaseProbeEvery = time.Second
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
-	}
-	if cfg.JanitorSeed == 0 {
-		cfg.JanitorSeed = time.Now().UnixNano()
 	}
 	store, err := NewStore(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{cfg: cfg, store: store, jobs: make(map[string]*job)}
-	m.jrand = rand.New(rand.NewSource(cfg.JanitorSeed))
+	// The lock lives here, not in NewStore: an HA node's replica opens
+	// its own Store over the same directory in the same process.
+	unlock, err := acquireLease(filepath.Join(cfg.Dir, ".manager"))
+	if errors.Is(err, ErrLeaseHeld) {
+		return nil, fmt.Errorf("jobs: job directory %s is in use by another manager", cfg.Dir)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("jobs: locking job directory %s: %w", cfg.Dir, err)
+	}
+	defer func() {
+		if err != nil {
+			unlock()
+		}
+	}()
+	m = &Manager{cfg: cfg, store: store, unlock: unlock, jobs: make(map[string]*job)}
 	m.cond = sync.NewCond(&m.mu)
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 
@@ -173,25 +172,17 @@ func NewManager(cfg Config) (*Manager, error) {
 		return metas[i].ID < metas[j].ID
 	})
 	for _, meta := range metas {
-		j := &job{meta: meta, subs: make(map[chan struct{}]struct{})}
 		if meta.State == Running {
-			// "Running" on disk means either a live manager elsewhere
-			// (its per-job lease is held: mirror it and let the janitor
-			// follow its progress) or a process that died mid-execution
-			// (lease free: the job goes back to pending and resumes from
-			// its last durable point).
-			if store.LeaseFree(meta.ID) {
-				meta.State = Pending
-				if err := store.WriteMeta(meta); err != nil {
-					return nil, err
-				}
-				j.meta = meta
-			} else {
-				j.remote = true
+			// The process that ran it is gone (this manager holds the
+			// directory): back to pending, to resume from its last
+			// durable point.
+			meta.State = Pending
+			if err := store.WriteMeta(meta); err != nil {
+				return nil, err
 			}
 		}
-		m.jobs[meta.ID] = j
-		if j.meta.State == Pending {
+		m.jobs[meta.ID] = &job{meta: meta, subs: make(map[chan struct{}]struct{})}
+		if meta.State == Pending {
 			m.queue = append(m.queue, meta.ID)
 		}
 	}
@@ -200,22 +191,25 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.wg.Add(1)
 		go m.runner()
 	}
-	m.wg.Add(1)
-	go m.janitor()
 	return m, nil
 }
 
-// Close stops accepting work, cancels running jobs and waits for the
-// runners to drain. Running jobs flush their progress and stay in
-// state "running" on disk, so the next NewManager over the same
-// directory resumes them; pending jobs stay pending.
+// Close stops accepting work, cancels running jobs, waits for the
+// runners to drain and releases the directory. Running jobs flush
+// their progress and stay in state "running" on disk, so the next
+// NewManager over the same directory resumes them; pending jobs stay
+// pending. Close is idempotent, and releases the lock once: a demoted
+// HA leader's manager is closed by its demote func and at teardown.
 func (m *Manager) Close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	m.cancel()
-	m.cond.Broadcast()
-	m.wg.Wait()
+	m.closeOnce.Do(func() {
+		m.mu.Lock()
+		m.closed = true
+		m.mu.Unlock()
+		m.cancel()
+		m.cond.Broadcast()
+		m.wg.Wait()
+		m.unlock()
+	})
 }
 
 // Store returns the manager's durable store (for results paths and
@@ -227,8 +221,7 @@ func (m *Manager) Store() *Store { return m.store }
 type Stats struct {
 	// Queued counts jobs awaiting a runner.
 	Queued int `json:"queued"`
-	// Running counts jobs executing under THIS manager's leases
-	// (remote-mirrored jobs are another manager's load).
+	// Running counts jobs executing now.
 	Running int `json:"running"`
 	// MaxQueued echoes the configured queue bound; zero is unbounded.
 	MaxQueued int `json:"maxQueued,omitempty"`
@@ -244,7 +237,7 @@ func (m *Manager) Stats() Stats {
 	st := Stats{Queued: len(m.queue), MaxQueued: m.cfg.MaxQueued}
 	st.Saturated = st.MaxQueued > 0 && st.Queued >= st.MaxQueued
 	for _, j := range m.jobs {
-		if j.meta.State == Running && !j.remote {
+		if j.meta.State == Running {
 			st.Running++
 		}
 	}
@@ -268,11 +261,6 @@ func (m *Manager) Submit(request []byte) (Meta, bool, error) {
 		Total:     total,
 		CreatedAt: m.cfg.now().UnixMilli(),
 	}
-	// A manager sharing the store directory with others may be asked
-	// for a job that already exists on disk but not in its memory:
-	// adopt the existing job (clobbering its meta would reset another
-	// manager's progress) exactly like an in-memory dedupe.
-	diskMeta, diskErr := m.store.ReadMeta(id)
 	// Reserve the id under the lock, but run the store's fsync-heavy
 	// Create outside it: a submission burst on a slow disk must not
 	// stall status reads, checkpoints and cancels for every other job.
@@ -286,28 +274,9 @@ func (m *Manager) Submit(request []byte) (Meta, bool, error) {
 		m.mu.Unlock()
 		return existing, false, nil
 	}
-	if diskErr == nil {
-		j := &job{meta: diskMeta, subs: make(map[chan struct{}]struct{})}
-		switch {
-		case diskMeta.State.Terminal():
-			// Adopt as-is.
-		case m.store.LeaseFree(id):
-			// Orphaned (or never started): resume it here, from its
-			// last durable point.
-			j.meta.State = Pending
-			m.queue = append(m.queue, id)
-			m.cond.Signal()
-		default:
-			j.remote = true // live under another manager's lease
-		}
-		m.jobs[id] = j
-		adopted := j.meta
-		m.mu.Unlock()
-		return adopted, false, nil
-	}
 	if m.cfg.MaxQueued > 0 && len(m.queue) >= m.cfg.MaxQueued {
-		// Saturated: shed the NEW job before any disk work. Dedupes and
-		// adoptions (above) are never shed — they create no new load.
+		// Saturated: shed the NEW job before any disk work. Dedupes
+		// (above) are never shed — they create no new load.
 		m.mu.Unlock()
 		return Meta{}, false, ErrQueueFull
 	}
@@ -393,14 +362,6 @@ func (m *Manager) Cancel(id string) (Meta, error) {
 	if !ok {
 		m.mu.Unlock()
 		return Meta{}, ErrNotFound
-	}
-	if j.remote {
-		// The job executes under another manager's lease; this manager
-		// only mirrors its progress and cannot reach its context. Report
-		// the current status — cancel it on the manager that runs it.
-		meta := j.meta
-		m.mu.Unlock()
-		return meta, nil
 	}
 	switch j.meta.State {
 	case Pending:
@@ -588,18 +549,18 @@ func (m *Manager) runJob(id string) {
 	}
 	m.mu.Unlock()
 
-	// The per-job lease is the single-executor guard: whatever path
-	// queued this job (submission, recovery, janitor takeover), only
-	// the manager that wins the flock appends to its results file.
+	// The per-job lease keeps a replica apply (Store.ApplyReplicated)
+	// out of the results file while the job executes. A newly promoted
+	// leader can find an old-term apply still holding it: wait for it,
+	// unless the manager closes first, which leaves the job pending.
 	release, err := acquireLease(m.store.LeasePath(id))
-	if errors.Is(err, ErrLeaseHeld) {
-		// Another manager got there first: follow its progress instead.
-		m.mu.Lock()
-		if j.meta.State == Pending {
-			j.remote = true
+	for errors.Is(err, ErrLeaseHeld) {
+		select {
+		case <-m.ctx.Done():
+			return
+		case <-time.After(5 * time.Millisecond):
 		}
-		m.mu.Unlock()
-		return
+		release, err = acquireLease(m.store.LeasePath(id))
 	}
 	if err != nil {
 		m.finish(id, Failed, fmt.Sprintf("acquiring job lease: %v", err))
@@ -687,6 +648,10 @@ func (m *Manager) runJob(id string) {
 		return nil
 	}
 	start := func(total int) error {
+		if offset > total {
+			// No crash leaves more durable lines than the job has points.
+			return fmt.Errorf("%w: job %s: %d result lines for a %d-point job", ErrCorruptResults, id, offset, total)
+		}
 		m.mu.Lock()
 		j.meta.Total = total
 		m.mu.Unlock()
@@ -738,94 +703,6 @@ func (m *Manager) runJob(id string) {
 		m.finish(id, Cancelled, "")
 	default:
 		fail(execErr)
-	}
-}
-
-// janitor periodically re-probes jobs that execute under another
-// manager's lease (several managers may share one store directory):
-// it mirrors their on-disk progress for this manager's status and
-// results followers, adopts their terminal states, and — when a
-// holder dies mid-job, releasing the lease with the job still
-// "running" on disk — takes the job over, re-queueing it to resume
-// from its last durable point. This is what makes any node able to
-// resume any job: checkpoints live in the shared store, and leases,
-// not process identity, decide the executor.
-func (m *Manager) janitor() {
-	defer m.wg.Done()
-	t := time.NewTimer(m.probeInterval())
-	defer t.Stop()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case <-t.C:
-		}
-		m.probeRemote()
-		t.Reset(m.probeInterval())
-	}
-}
-
-// probeInterval jitters the janitor period uniformly over [p/2, 3p/2):
-// managers sharing a store directory are typically started together
-// (deploys, restarts), and identical fixed tickers would then hammer
-// the directory in lockstep forever. The draws come from the manager's
-// own source (seeded by Config.JanitorSeed), so rescan and takeover
-// timing replays from a logged seed and test runs never share the
-// global math/rand state. Only the janitor goroutine calls this.
-func (m *Manager) probeInterval() time.Duration {
-	p := m.cfg.LeaseProbeEvery
-	return p/2 + time.Duration(m.jrand.Int63n(int64(p)))
-}
-
-// probeRemote is one janitor pass over the remote-mirrored jobs.
-func (m *Manager) probeRemote() {
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.jobs))
-	for id, j := range m.jobs {
-		if j.remote {
-			ids = append(ids, id)
-		}
-	}
-	m.mu.Unlock()
-	sort.Strings(ids)
-	for _, id := range ids {
-		meta, err := m.store.ReadMeta(id)
-		if err != nil {
-			// The owning manager deleted it: drop the mirror so local
-			// observers see ErrNotFound instead of a forever-stale state.
-			m.mu.Lock()
-			j, ok := m.jobs[id]
-			if ok && j.remote {
-				delete(m.jobs, id)
-			}
-			m.mu.Unlock()
-			if ok {
-				m.notify(j)
-			}
-			continue
-		}
-		orphaned := !meta.State.Terminal() && m.store.LeaseFree(id)
-		m.mu.Lock()
-		j, ok := m.jobs[id]
-		if !ok || !j.remote {
-			m.mu.Unlock()
-			continue
-		}
-		j.meta = meta
-		if meta.State.Terminal() {
-			j.remote = false
-		} else if orphaned {
-			j.remote = false
-			if j.meta.State == Running {
-				j.meta.State = Pending
-			}
-			if !j.cancelRequested {
-				m.queue = append(m.queue, id)
-				m.cond.Signal()
-			}
-		}
-		m.mu.Unlock()
-		m.notifyJob(id)
 	}
 }
 

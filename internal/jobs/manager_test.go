@@ -520,3 +520,172 @@ func TestJobDelete(t *testing.T) {
 		t.Errorf("resubmission after delete: %+v created=%v err=%v", again, created, err)
 	}
 }
+
+// waitState polls until the job reaches the wanted state on the given
+// manager.
+func waitState(t *testing.T, m *Manager, id string, want State) Meta {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		meta, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.State == want {
+			return meta
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stuck in %s, want %s", id, meta.State, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestManagerDirInUse: a directory has one live manager. A second
+// NewManager over it fails, naming the directory, and leaves the first
+// manager's job untouched on disk and in memory; once the first is
+// closed, a fresh manager opens and resumes the job byte-identically.
+// Close is idempotent and never releases a successor's lock.
+func TestManagerDirInUse(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	m1 := newTestManager(t, dir, gate)
+	meta, _, err := m1.Submit([]byte(`{"n": 8, "waitAt": 5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := waitState(t, m1, meta.ID, Running)
+
+	cfg := Config{Dir: dir, Exec: stubExec(gate), Normalize: stubNormalize}
+	if m2, err := NewManager(cfg); err == nil {
+		m2.Close()
+		t.Fatal("a second manager opened a directory that is in use")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Errorf("error %q does not name the directory %s", err, dir)
+	}
+	if got, err := m1.Get(meta.ID); err != nil || got != running {
+		t.Errorf("first manager's job is %+v (err %v), want %+v", got, err, running)
+	}
+	if disk, err := m1.store.ReadMeta(meta.ID); err != nil || disk.State != Running {
+		t.Errorf("job on disk is %+v (err %v), want running", disk, err)
+	}
+
+	m1.Close()
+	m1.Close()
+	close(gate)
+	m3, err := NewManager(cfg)
+	if err != nil {
+		t.Fatalf("reopening after Close: %v", err)
+	}
+	t.Cleanup(m3.Close)
+	m1.Close() // a stale handle's Close must not unlock m3's directory
+	if m4, err := NewManager(cfg); err == nil {
+		m4.Close()
+		t.Fatal("a closed manager's second Close released its successor's lock")
+	}
+	final, err := m3.Wait(waitCtx(t), meta.ID)
+	if err != nil || final.State != Done || final.Completed != 8 {
+		t.Fatalf("resumed job %+v, err %v", final, err)
+	}
+	data, err := os.ReadFile(m3.store.ResultsPath(meta.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, wantLines(8)) {
+		t.Errorf("resumed results:\n%s\nwant:\n%s", data, wantLines(8))
+	}
+}
+
+// TestRunJobWaitsForReplicaApply: a newly promoted leader can find an
+// old-term replica apply still holding a job's lease. The recovered job
+// must not append until the apply releases the lease, then finishes
+// byte-identically; a Close while it waits returns promptly and leaves
+// the job resumable.
+func TestRunJobWaitsForReplicaApply(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	m1 := newTestManager(t, dir, gate)
+	meta, _, err := m1.Submit([]byte(`{"n": 10, "waitAt": 5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := meta.ID
+	waitState(t, m1, id, Running)
+	m1.Close() // flushes the 5 lines before the gate, leaves "running"
+	store := m1.store
+	prefix := wantLines(5)
+	if data, err := os.ReadFile(store.ResultsPath(id)); err != nil || !bytes.Equal(data, prefix) {
+		t.Fatalf("interrupted results %q (err %v), want %q", data, err, prefix)
+	}
+
+	// Hold the lease the way Store.ApplyReplicated does.
+	release, err := acquireLease(store.LeasePath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if release != nil {
+			release()
+		}
+	}()
+	started := make(chan struct{}, 1)
+	open := make(chan struct{})
+	close(open)
+	exec := stubExec(open)
+	newManager := func() *Manager {
+		m, err := NewManager(Config{
+			Dir: dir, CheckpointEvery: 4, Normalize: stubNormalize,
+			Exec: func(ctx context.Context, req []byte, offset int, start func(int) error, emit func([]byte) error) error {
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+				return exec(ctx, req, offset, start, emit)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	unchanged := func(m *Manager) {
+		t.Helper()
+		select {
+		case <-started:
+			t.Fatal("the job executed while a replica apply held its lease")
+		case <-time.After(100 * time.Millisecond):
+		}
+		if got, err := m.Get(id); err != nil || got.State != Pending {
+			t.Fatalf("job is %+v (err %v), want pending while it waits", got, err)
+		}
+		if data, err := os.ReadFile(store.ResultsPath(id)); err != nil || !bytes.Equal(data, prefix) {
+			t.Fatalf("results changed under the held lease: %q (err %v)", data, err)
+		}
+	}
+
+	m2 := newManager()
+	unchanged(m2)
+	closed := make(chan struct{})
+	go func() { m2.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return while runJob waited for the lease")
+	}
+	if disk, err := store.ReadMeta(id); err != nil || disk.State != Pending {
+		t.Fatalf("job on disk after Close is %+v (err %v), want pending", disk, err)
+	}
+
+	m3 := newManager()
+	t.Cleanup(m3.Close)
+	unchanged(m3)
+	release()
+	release = nil
+	final, err := m3.Wait(waitCtx(t), id)
+	if err != nil || final.State != Done || final.Completed != 10 {
+		t.Fatalf("job after the apply released its lease: %+v, err %v", final, err)
+	}
+	if data, err := os.ReadFile(store.ResultsPath(id)); err != nil || !bytes.Equal(data, wantLines(10)) {
+		t.Errorf("results %q (err %v), want %q", data, err, wantLines(10))
+	}
+}

@@ -34,6 +34,9 @@ func (s State) Terminal() bool {
 	return s == Done || s == Failed || s == Cancelled
 }
 
+// known reports whether s is one of the five states.
+func (s State) known() bool { return s == Pending || s == Running || s.Terminal() }
+
 // Meta is a job's status record: the checkpointed progress marker
 // persisted as meta.json and the JSON body of GET /v1/jobs/{id}. The
 // results file, not Completed, is the source of truth at recovery —
@@ -60,9 +63,10 @@ type Meta struct {
 // ErrNotFound marks an unknown job id.
 var ErrNotFound = errors.New("jobs: job not found")
 
-// ErrLeaseHeld marks a job whose execution lease is held by another
-// manager (possibly in another process sharing the store directory).
-var ErrLeaseHeld = errors.New("jobs: job lease held by another manager")
+// ErrLeaseHeld marks a job whose execution lease is held: by the
+// manager's runner executing it, or by a replica apply writing it
+// (Store.ApplyReplicated).
+var ErrLeaseHeld = errors.New("jobs: job lease held")
 
 // ErrStorage marks a server-side persistence failure (disk full,
 // permissions, ...) as opposed to a bad request; the HTTP layer maps
@@ -183,7 +187,10 @@ func syncDir(dir string) error {
 	return serr
 }
 
-// ReadMeta loads a job's status record.
+// ReadMeta loads a job's status record. A record that names another
+// job or an unknown state is corrupt: loading it would key the job by
+// a path outside its directory, or leave it in no state that ever
+// runs or ends.
 func (s *Store) ReadMeta(id string) (Meta, error) {
 	data, err := os.ReadFile(filepath.Join(s.jobDir(id), "meta.json"))
 	if errors.Is(err, os.ErrNotExist) {
@@ -195,6 +202,9 @@ func (s *Store) ReadMeta(id string) (Meta, error) {
 	var meta Meta
 	if err := json.Unmarshal(data, &meta); err != nil {
 		return Meta{}, fmt.Errorf("jobs: corrupt meta for %s: %w", id, err)
+	}
+	if meta.ID != id || !meta.State.known() {
+		return Meta{}, fmt.Errorf("jobs: corrupt meta for %s: id %q, state %q", id, meta.ID, meta.State)
 	}
 	return meta, nil
 }
@@ -242,25 +252,10 @@ func (s *Store) ResultsPath(id string) string {
 	return filepath.Join(s.jobDir(id), "results.ndjson")
 }
 
-// LeasePath returns the path of a job's execution-lease file. The
-// lease is an advisory per-job flock: exactly one manager holds it
-// while executing the job, which is what lets several managers share
-// one store directory (each appends only to results files it leases)
-// without the store-wide single-writer lock of earlier revisions.
+// LeasePath returns the path of a job's execution-lease file, an
+// advisory per-job flock. The manager's runner holds it while the job
+// executes and a replica apply holds it while it writes, so the two
+// never write one results file at once.
 func (s *Store) LeasePath(id string) string {
 	return filepath.Join(s.jobDir(id), ".lease")
-}
-
-// LeaseFree reports whether a job's execution lease is currently
-// unheld. It is a point-in-time probe — the lease can be taken the
-// instant after — so callers use it only to classify jobs (live on
-// another manager vs orphaned); the authoritative guard is the
-// non-blocking acquisition in the runner itself.
-func (s *Store) LeaseFree(id string) bool {
-	release, err := acquireLease(s.LeasePath(id))
-	if err != nil {
-		return false
-	}
-	release()
-	return true
 }
