@@ -3,7 +3,7 @@
 // aggregation, the detailed engine's compiled batch and the
 // replication plane's quorum tax on the durable job path — and writes a
 // machine-readable JSON report, so every PR extends a comparable perf
-// trajectory (BENCH_PR23.json is the committed snapshot). The kernel is
+// trajectory (BENCH_PR25.json is the committed snapshot). The kernel is
 // reported twice — runner_throughput (the scalar Runner: stepwise
 // replay, inverse-CDF draws) and engine_throughput (the lane kernel:
 // closed-form failure-to-failure advance, ziggurat draws) — so the
@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/bench [-out bench.json] [-baseline BENCH_PR23.json]
+//	go run ./cmd/bench [-out bench.json] [-baseline BENCH_PR25.json]
 //
 // Every row is sampled five times (the constant samples), round-robin,
 // and reported as the median ns/op with the CI95 of the samples' mean. With -baseline,
@@ -129,7 +129,7 @@ func nsOp(r testing.BenchmarkResult) float64 {
 }
 
 // benchEngineThroughput measures the production Monte-Carlo path: the
-// lane-batched SoA kernel with the closed-form failure-to-failure
+// lane kernel with the closed-form failure-to-failure
 // advance and the ziggurat sampler — the per-run cost RunMany's
 // workers pay — reported per run: compile once, then drive full-width
 // RunBatch calls. Reports up to and including BENCH_PR6 measured

@@ -195,7 +195,7 @@ type Runner interface {
 // a backend-owned RunMany through a faster engine, statistically
 // equivalent to the generic per-seed path and bitwise independent of
 // the worker count. The fast backend implements it with the
-// lane-batched SoA kernel (sim.LaneRunner).
+// lane kernel (sim.LaneRunner).
 type ManyRunner interface {
 	RunManySeeded(base uint64, runs, workers int) (sim.Aggregate, error)
 }

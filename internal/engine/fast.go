@@ -73,10 +73,9 @@ func (b *fastBatch) NewRunner() Runner {
 }
 
 // RunManySeeded implements ManyRunner: batches on the merged
-// exponential path execute through the lane-batched SoA kernel
-// (renewal-law batches fall back to the scalar Runner inside sim),
-// producing the exact per-seed Results and Aggregate of the generic
-// path.
+// exponential path execute through the lane kernel, statistically
+// equivalent to the generic path (renewal-law batches fall back to
+// the scalar Runner inside sim).
 func (b *fastBatch) RunManySeeded(base uint64, runs, workers int) (sim.Aggregate, error) {
 	return b.b.RunManySeeded(base, runs, workers)
 }

@@ -145,7 +145,7 @@ func (m *Merged) Reseed(seed uint64) {
 // log-free ziggurat sampler instead of Next's inverse CDF: the same
 // distribution, a different stream consumption, so the event sequence
 // is statistically — not bitwise — equivalent to Next's. It is the
-// lane kernel's per-lane refill; nodes must be at least len(times)
+// lane kernel's refill; nodes must be at least len(times)
 // long.
 func (m *Merged) FillEventsZiggurat(times []float64, nodes []int32) {
 	n := len(times)

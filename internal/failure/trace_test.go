@@ -3,6 +3,7 @@ package failure
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,4 +132,46 @@ func TestReplayCoverage(t *testing.T) {
 	if ev, ok := rep.Next(); !ok || ev != events[0] {
 		t.Fatalf("rewound replay produced %v, %v", ev, ok)
 	}
+}
+
+// FuzzReadTrace: the trace importer never panics, and every input
+// either fails or yields a trace a simulator can replay — at least one
+// node, events at finite non-negative times, in time order, on valid
+// node IDs — which re-encodes and reads back to the same trace. The
+// seed corpus (testdata/fuzz/FuzzReadTrace) holds an empty input, a
+// header without events, NaN/Inf/negative and overflowing times,
+// unsorted events, a node out of range, a torn document and CRLF line
+// ends.
+func FuzzReadTrace(f *testing.F) {
+	f.Add([]byte(`{"nodes":4,"platform_mtbf":100,"law":"exponential","horizon":9,"events":[{"t":1,"node":0},{"t":2,"node":3}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if tr.Nodes < 1 {
+			t.Fatalf("accepted a trace with %d nodes", tr.Nodes)
+		}
+		prev := 0.0
+		for i, ev := range tr.Events {
+			if math.IsNaN(ev.Time) || math.IsInf(ev.Time, 0) || ev.Time < prev {
+				t.Fatalf("accepted event %d at %v after %v", i, ev.Time, prev)
+			}
+			if ev.Node < 0 || ev.Node >= tr.Nodes {
+				t.Fatalf("accepted event %d on node %d of %d", i, ev.Node, tr.Nodes)
+			}
+			prev = ev.Time
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("accepted trace does not read back: %v", err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("trace read back as %+v, want %+v", back, tr)
+		}
+	})
 }

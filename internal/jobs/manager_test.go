@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -593,6 +594,38 @@ func TestManagerDirInUse(t *testing.T) {
 	}
 	if !bytes.Equal(data, wantLines(8)) {
 		t.Errorf("resumed results:\n%s\nwant:\n%s", data, wantLines(8))
+	}
+}
+
+// TestRemoveLeasedWaitsForLease: RemoveLeased refuses with
+// ErrLeaseHeld and removes nothing while the job's lease is held, removes
+// the job once it is free, and treats a missing job as removed.
+func TestRemoveLeasedWaitsForLease(t *testing.T) {
+	store := newTestStore(t)
+	request := []byte(`{"n": 3}`)
+	meta := Meta{ID: IDFor(request), State: Done, Total: 3, CreatedAt: 1}
+	if err := store.Create(meta, request); err != nil {
+		t.Fatal(err)
+	}
+	release, err := acquireLease(store.LeasePath(meta.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.RemoveLeased(meta.ID); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("RemoveLeased under a held lease: %v, want ErrLeaseHeld", err)
+	}
+	if _, err := store.ReadMeta(meta.ID); err != nil {
+		t.Fatalf("job after a refused removal: %v", err)
+	}
+	release()
+	if err := store.RemoveLeased(meta.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.ReadMeta(meta.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("job after removal: %v, want ErrNotFound", err)
+	}
+	if err := store.RemoveLeased(meta.ID); err != nil {
+		t.Fatalf("RemoveLeased of a missing job: %v, want nil", err)
 	}
 }
 

@@ -247,6 +247,22 @@ func (s *Store) Remove(id string) error {
 	return storage(os.RemoveAll(s.jobDir(id)))
 }
 
+// RemoveLeased deletes a job's directory while holding the job's
+// execution lease, so it never removes a results file a runner or a
+// replica apply has open: it returns ErrLeaseHeld while either holds
+// the lease. A job that does not exist is removed already.
+func (s *Store) RemoveLeased(id string) error {
+	release, err := acquireLease(s.LeasePath(id))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer release()
+	return s.Remove(id)
+}
+
 // ResultsPath returns the path of a job's results file.
 func (s *Store) ResultsPath(id string) string {
 	return filepath.Join(s.jobDir(id), "results.ndjson")

@@ -40,26 +40,27 @@ func scalarAdvance(b *Batch, s laneState, target float64) (bool, laneState) {
 	}
 }
 
-// laneAdvance runs advanceLane from s to target on lane 0 of a fresh
-// one-lane runner of b, with one open risk entry.
+// laneAdvance runs advanceLane from s to target on a fresh run record
+// of a one-lane runner of b, with one open risk entry.
 func laneAdvance(b *Batch, s laneState, target float64) (bool, laneState) {
 	lr, err := b.NewLaneRunner(1)
 	if err != nil {
 		panic(err)
 	}
-	lr.md[0], lr.t[0], lr.work[0], lr.offset[0] = s.md, s.t, s.work, s.offset
-	lr.periodStartWork[0], lr.snapshotWork[0] = s.periodStartWork, s.snapshotWork
-	lr.stallRemaining[0], lr.reexecRemaining[0], lr.overlapRemain[0] = s.stall, s.reexec, s.overlap
-	lr.resumeOffset[0], lr.riskUntil[0], lr.res[0].RiskTime = s.resumeOffset, s.riskUntil, s.riskTime
-	lr.everCommitted[0] = s.everCommitted
-	lr.comp[0] = append(lr.comp[0][:0], riskEntry{node: 0, end: s.t + 1})
-	done := lr.advanceLane(0, target)
+	r := laneRun{md: s.md, t: s.t, work: s.work, offset: s.offset}
+	r.periodStartWork, r.snapshotWork = s.periodStartWork, s.snapshotWork
+	r.stallRemaining, r.reexecRemaining, r.overlapRemain = s.stall, s.reexec, s.overlap
+	r.resumeOffset, r.riskUntil, r.res.RiskTime = s.resumeOffset, s.riskUntil, s.riskTime
+	r.offsetWork, r.resumeWork = lr.scheduleWork(s.offset), lr.scheduleWork(s.resumeOffset)
+	r.everCommitted = s.everCommitted
+	r.comp = append(lr.comp[:0], riskEntry{node: 0, end: s.t + 1})
+	done := lr.advanceLane(&r, target)
 	return done, laneState{
-		md: lr.md[0], t: lr.t[0], work: lr.work[0], offset: lr.offset[0],
-		periodStartWork: lr.periodStartWork[0], snapshotWork: lr.snapshotWork[0],
-		stall: lr.stallRemaining[0], reexec: lr.reexecRemaining[0], overlap: lr.overlapRemain[0],
-		resumeOffset: lr.resumeOffset[0], riskUntil: lr.riskUntil[0], riskTime: lr.res[0].RiskTime,
-		everCommitted: lr.everCommitted[0], open: len(lr.comp[0]),
+		md: r.md, t: r.t, work: r.work, offset: r.offset,
+		periodStartWork: r.periodStartWork, snapshotWork: r.snapshotWork,
+		stall: r.stallRemaining, reexec: r.reexecRemaining, overlap: r.overlapRemain,
+		resumeOffset: r.resumeOffset, riskUntil: r.riskUntil, riskTime: r.res.RiskTime,
+		everCommitted: r.everCommitted, open: len(r.comp),
 	}
 }
 

@@ -136,8 +136,8 @@ var lanePool sync.Pool
 // laneRunner returns a DefaultLaneWidth runner bound to b, from the
 // process-wide pool when one is free (releaseCrew returns it when the
 // batch completes). b must be on the i.i.d. path. bind recomputes
-// everything derived from the batch and resetLane rewinds every
-// mutable bit per run, so reuse cannot leak state between batches.
+// everything derived from the batch and every run starts from a fresh
+// record, so reuse cannot leak state between batches.
 func (b *Batch) laneRunner() (*LaneRunner, error) {
 	if lr, ok := lanePool.Get().(*LaneRunner); ok {
 		lr.bind(b)

@@ -70,6 +70,59 @@ func TestLaneRunnerSamplerBatchInvariant(t *testing.T) {
 	}
 }
 
+// TestLaneRunnerBatchPositionInvariant pins the contract the batch
+// executor relies on: a lane Result is a pure function of its (seed,
+// reflection flag), whatever else shares the batch and wherever in it
+// the run sits. A 16-seed batch with mixed flags, the same batch
+// permuted, and each seed alone in a one-lane runner must agree
+// bitwise on every config.
+func TestLaneRunnerBatchPositionInvariant(t *testing.T) {
+	const n = 16
+	seeds := make([]uint64, n)
+	anti := make([]bool, n)
+	for l := range seeds {
+		seeds[l] = uint64(40 + l/2)
+		anti[l] = l%3 == 1
+	}
+	perm := []int{5, 12, 0, 9, 15, 3, 7, 1, 14, 10, 2, 8, 13, 6, 11, 4}
+	pSeeds := make([]uint64, n)
+	pAnti := make([]bool, n)
+	for i, l := range perm {
+		pSeeds[i], pAnti[i] = seeds[l], anti[l]
+	}
+	want := make([]Result, n)
+	got := make([]Result, n)
+	for ci, cfg := range laneTestConfigs() {
+		b, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide, err := b.NewLaneRunner(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := b.NewLaneRunner(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide.RunBatch(seeds, anti, want)
+		wide.RunBatch(pSeeds, pAnti, got)
+		for i, l := range perm {
+			if got[i] != want[l] {
+				t.Fatalf("config %d seed %d anti %v: permuted to lane %d %+v, in lane %d %+v",
+					ci, seeds[l], anti[l], i, got[i], l, want[l])
+			}
+		}
+		for l := range seeds {
+			one.RunBatch(seeds[l:l+1], anti[l:l+1], got[:1])
+			if got[0] != want[l] {
+				t.Fatalf("config %d seed %d anti %v: alone %+v, in lane %d %+v",
+					ci, seeds[l], anti[l], got[0], l, want[l])
+			}
+		}
+	}
+}
+
 // TestLaneRunnerReboundMatchesFresh pins the process-wide pool's
 // contract: a runner rebound from batch to batch produces bitwise the
 // Results of a fresh NewLaneRunner on each batch. The batch sequence
@@ -126,7 +179,7 @@ func TestLaneRunnerReboundMatchesFresh(t *testing.T) {
 		for l := range got {
 			if got[l] != want[l] {
 				t.Fatalf("step %d (config %d, antithetic %v, sampler batch %d) lane %d:\nrebound %+v\nfresh   %+v",
-					step, step%len(cfgs), antithetic, rebound.bufLen, l, got[l], want[l])
+					step, step%len(cfgs), antithetic, len(rebound.evTime), l, got[l], want[l])
 			}
 		}
 	}
