@@ -128,7 +128,8 @@ type jobListResponse struct {
 // ids are 404s, persistence failures (disk full, permissions) are 500s
 // so clients retry the submission instead of discarding it as invalid,
 // a saturated queue is a 503 with a Retry-After (the request was fine;
-// the node is shedding load), and everything else is a request error.
+// the node is shedding load), as is a delete refused while the job's
+// lease is held, and everything else is a request error.
 func writeJobError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
@@ -138,6 +139,9 @@ func writeJobError(w http.ResponseWriter, err error) {
 		status = http.StatusInternalServerError
 	case errors.Is(err, jobs.ErrQueueFull):
 		w.Header().Set("Retry-After", "5")
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, jobs.ErrLeaseHeld):
+		w.Header().Set("Retry-After", "1")
 		status = http.StatusServiceUnavailable
 	}
 	WriteError(w, status, err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -540,5 +542,30 @@ func TestSyncAndJobPathsShareThePool(t *testing.T) {
 	}
 	if len(buffered.Items) != 8 {
 		t.Errorf("sync sweep returned %d items", len(buffered.Items))
+	}
+}
+
+// TestWriteJobErrorStatuses: the retryable refusals — a saturated queue
+// and a delete refused while the job's lease is held — are 503s with a
+// Retry-After; a wrapped error maps like the sentinel it wraps.
+func TestWriteJobErrorStatuses(t *testing.T) {
+	cases := []struct {
+		err        error
+		status     int
+		retryAfter string
+	}{
+		{jobs.ErrNotFound, http.StatusNotFound, ""},
+		{fmt.Errorf("%w: disk full", jobs.ErrStorage), http.StatusInternalServerError, ""},
+		{jobs.ErrQueueFull, http.StatusServiceUnavailable, "5"},
+		{jobs.ErrLeaseHeld, http.StatusServiceUnavailable, "1"},
+		{errors.New("bad request"), http.StatusBadRequest, ""},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		writeJobError(rec, c.err)
+		if rec.Code != c.status || rec.Header().Get("Retry-After") != c.retryAfter {
+			t.Errorf("%v: status %d, Retry-After %q; want %d, %q",
+				c.err, rec.Code, rec.Header().Get("Retry-After"), c.status, c.retryAfter)
+		}
 	}
 }

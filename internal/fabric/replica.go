@@ -313,7 +313,7 @@ func (rp *Replica) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	// A runner or a replica apply holding the job's lease has its
 	// results file open: the leader retries instead (Retry-After).
-	switch err := rp.cfg.Store.RemoveLeased(r.PathValue("id")); {
+	switch err := rp.cfg.Store.Remove(r.PathValue("id")); {
 	case errors.Is(err, jobs.ErrLeaseHeld):
 		w.Header().Set("Retry-After", "1")
 		api.WriteError(w, http.StatusServiceUnavailable, err)

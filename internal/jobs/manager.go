@@ -92,6 +92,9 @@ type job struct {
 	// queued until creating clears).
 	creating bool
 	subs     map[chan struct{}]struct{}
+	// runner is closed once the runner that picked the job up has
+	// released its lease; nil until one does.
+	runner chan struct{}
 }
 
 // Manager owns the job lifecycle: it persists submissions through a
@@ -428,7 +431,17 @@ func (m *Manager) Delete(id string) (Meta, error) {
 		m.mu.Unlock()
 		return meta, fmt.Errorf("jobs: job %s is %s; cancel it before deleting", id, meta.State)
 	}
+	runner := j.runner
 	m.mu.Unlock()
+	if runner != nil {
+		// A job turns terminal just before its runner lets go of the
+		// lease: wait for that, so only a replica apply can refuse the
+		// removal below.
+		select {
+		case <-runner:
+		case <-m.ctx.Done():
+		}
+	}
 	if m.cfg.Replicate != nil {
 		// Removal needs the same quorum as creation, and it lands on the
 		// peers BEFORE the local delete: a rejected removal leaves the
@@ -437,10 +450,16 @@ func (m *Manager) Delete(id string) (Meta, error) {
 			return meta, err
 		}
 	}
+	// The local copy goes before the listing does: a removal refused
+	// while an old-term replica apply holds the job's lease
+	// (ErrLeaseHeld) leaves the job listed, and a retry finishes it.
+	if err := m.store.Remove(id); err != nil {
+		return meta, err
+	}
 	m.mu.Lock()
 	delete(m.jobs, id)
 	m.mu.Unlock()
-	return meta, m.store.Remove(id)
+	return meta, nil
 }
 
 // Wait blocks until the job reaches a terminal state (or ctx is done)
@@ -547,6 +566,9 @@ func (m *Manager) runJob(id string) {
 		m.mu.Unlock()
 		return
 	}
+	done := make(chan struct{})
+	defer close(done)
+	j.runner = done
 	m.mu.Unlock()
 
 	// The per-job lease keeps a replica apply (Store.ApplyReplicated)

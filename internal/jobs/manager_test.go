@@ -597,10 +597,10 @@ func TestManagerDirInUse(t *testing.T) {
 	}
 }
 
-// TestRemoveLeasedWaitsForLease: RemoveLeased refuses with
+// TestRemoveWaitsForLease: Remove refuses with
 // ErrLeaseHeld and removes nothing while the job's lease is held, removes
 // the job once it is free, and treats a missing job as removed.
-func TestRemoveLeasedWaitsForLease(t *testing.T) {
+func TestRemoveWaitsForLease(t *testing.T) {
 	store := newTestStore(t)
 	request := []byte(`{"n": 3}`)
 	meta := Meta{ID: IDFor(request), State: Done, Total: 3, CreatedAt: 1}
@@ -611,21 +611,55 @@ func TestRemoveLeasedWaitsForLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.RemoveLeased(meta.ID); !errors.Is(err, ErrLeaseHeld) {
-		t.Fatalf("RemoveLeased under a held lease: %v, want ErrLeaseHeld", err)
+	if err := store.Remove(meta.ID); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("Remove under a held lease: %v, want ErrLeaseHeld", err)
 	}
 	if _, err := store.ReadMeta(meta.ID); err != nil {
 		t.Fatalf("job after a refused removal: %v", err)
 	}
 	release()
-	if err := store.RemoveLeased(meta.ID); err != nil {
+	if err := store.Remove(meta.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.ReadMeta(meta.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("job after removal: %v, want ErrNotFound", err)
 	}
-	if err := store.RemoveLeased(meta.ID); err != nil {
-		t.Fatalf("RemoveLeased of a missing job: %v, want nil", err)
+	if err := store.Remove(meta.ID); err != nil {
+		t.Fatalf("Remove of a missing job: %v, want nil", err)
+	}
+}
+
+// TestDeleteKeepsJobWhileLeaseHeld: a Delete refused because an
+// old-term replica apply holds the job's lease leaves the job listed and
+// on disk; once the lease is free the same Delete removes it.
+func TestDeleteKeepsJobWhileLeaseHeld(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), nil)
+	meta, _, err := m.Submit([]byte(`{"n": 3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(waitCtx(t), meta.ID); err != nil {
+		t.Fatal(err)
+	}
+	release, err := acquireLease(m.store.LeasePath(meta.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Delete(meta.ID); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("Delete under a held lease: %v, want ErrLeaseHeld", err)
+	}
+	if _, err := m.Get(meta.ID); err != nil {
+		t.Fatalf("job after a refused delete: %v", err)
+	}
+	if _, err := m.store.ReadMeta(meta.ID); err != nil {
+		t.Fatalf("job directory after a refused delete: %v", err)
+	}
+	release()
+	if _, err := m.Delete(meta.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Get(meta.ID); err != ErrNotFound {
+		t.Errorf("deleted job still known: %v", err)
 	}
 }
 

@@ -242,25 +242,22 @@ func (s *Store) Load() ([]Meta, error) {
 	return metas, nil
 }
 
-// Remove deletes a job's directory.
+// Remove deletes a job's directory while holding the job's execution
+// lease, so it never removes a results file a runner or a replica apply
+// has open: it returns ErrLeaseHeld while either holds the lease. A job
+// that does not exist is removed already.
 func (s *Store) Remove(id string) error {
-	return storage(os.RemoveAll(s.jobDir(id)))
-}
-
-// RemoveLeased deletes a job's directory while holding the job's
-// execution lease, so it never removes a results file a runner or a
-// replica apply has open: it returns ErrLeaseHeld while either holds
-// the lease. A job that does not exist is removed already.
-func (s *Store) RemoveLeased(id string) error {
 	release, err := acquireLease(s.LeasePath(id))
-	if errors.Is(err, os.ErrNotExist) {
+	switch {
+	case errors.Is(err, os.ErrNotExist):
 		return nil
-	}
-	if err != nil {
+	case errors.Is(err, ErrLeaseHeld):
 		return err
+	case err != nil:
+		return storage(err)
 	}
 	defer release()
-	return s.Remove(id)
+	return storage(os.RemoveAll(s.jobDir(id)))
 }
 
 // ResultsPath returns the path of a job's results file.

@@ -51,7 +51,6 @@ func laneAdvance(b *Batch, s laneState, target float64) (bool, laneState) {
 	r.periodStartWork, r.snapshotWork = s.periodStartWork, s.snapshotWork
 	r.stallRemaining, r.reexecRemaining, r.overlapRemain = s.stall, s.reexec, s.overlap
 	r.resumeOffset, r.riskUntil, r.res.RiskTime = s.resumeOffset, s.riskUntil, s.riskTime
-	r.offsetWork, r.resumeWork = lr.scheduleWork(s.offset), lr.scheduleWork(s.resumeOffset)
 	r.everCommitted = s.everCommitted
 	r.comp = append(lr.comp[:0], riskEntry{node: 0, end: s.t + 1})
 	done := lr.advanceLane(&r, target)

@@ -71,10 +71,6 @@ type LaneRunner struct {
 	// schedule's period count (corrected against the period either way).
 	commitOffset float64
 	invPeriod    float64
-	// stallTime and overlapTime are what every failure restarts the
-	// stall and the overlapped re-receive at; ckpt1Work is
-	// scheduleWork(Ckpt1), the triple protocols' phase-2 resume point.
-	stallTime, overlapTime, ckpt1Work float64
 
 	// Failure sampling: one content-seeded stream and merged process,
 	// reseeded per run, refilling the prefetched events; and the
@@ -103,14 +99,10 @@ type laneRun struct {
 	md                                     mode
 	stallRemaining, reexecRemaining        float64
 	overlapRemain, resumeOffset, riskUntil float64
-	// offsetWork and resumeWork are scheduleWork(offset) and
-	// scheduleWork(resumeOffset), carried so that a failure reuses the
-	// value its advance computed instead of recomputing it.
-	offsetWork, resumeWork float64
-	everCommitted          bool
-	evPos                  int // next unread prefetched event
-	comp                   []riskEntry
-	res                    Result
+	everCommitted                          bool
+	evPos                                  int // next unread prefetched event
+	comp                                   []riskEntry
+	res                                    Result
 }
 
 // NewLaneRunner returns a lane runner whose groups hold up to width
@@ -146,13 +138,6 @@ func (lr *LaneRunner) bind(b *Batch) {
 	if !lr.pr.IsTriple() {
 		lr.commitOffset = fmin(lr.phases.Ckpt1+lr.phases.Ckpt2, lr.period)
 	}
-	lr.stallTime = lr.p.D + lr.p.R
-	lr.overlapTime = float64(lr.images) * lr.theta
-	if lr.pr.BlocksOnFailure() {
-		lr.stallTime += float64(lr.images) * lr.p.R
-		lr.overlapTime = 0
-	}
-	lr.ckpt1Work = lr.scheduleWork(lr.phases.Ckpt1)
 	lr.merged = *failure.NewMerged(lr.p.N, lr.p.M, &lr.stream)
 	lr.SetSamplerBatch(defaultSamplerBatch(lr.tbase, lr.p.M))
 }
@@ -312,7 +297,7 @@ func (lr *LaneRunner) advanceLane(s *laneRun, target float64) bool {
 		// finishReexec: back on the schedule at the resume offset.
 		s.md = modeSchedule
 		s.reexecRemaining = 0
-		s.offset, s.offsetWork = s.resumeOffset, s.resumeWork
+		s.offset = s.resumeOffset
 		if s.offset == 0 {
 			s.periodStartWork = work
 		}
@@ -336,8 +321,7 @@ func (lr *LaneRunner) advanceLane(s *laneRun, target float64) bool {
 	} else if o >= lr.period {
 		k, o = k+1, o-lr.period
 	}
-	ow := lr.scheduleWork(o)
-	work := p0 + k*lr.periodWork + ow
+	work := p0 + k*lr.periodWork + lr.scheduleWork(o)
 	done := work >= lr.tbase-workEps
 	if done {
 		// The work reaches Tbase by target: the completion instant is the
@@ -382,7 +366,7 @@ func (lr *LaneRunner) advanceLane(s *laneRun, target float64) bool {
 			s.riskUntil = tc
 		}
 	}
-	s.work, s.offset, s.offsetWork, s.periodStartWork = work, o, ow, p0+k*lr.periodWork
+	s.work, s.offset, s.periodStartWork = work, o, p0+k*lr.periodWork
 	if done {
 		s.t = t + (k*lr.period + o - o0)
 		return true
@@ -444,25 +428,32 @@ func (lr *LaneRunner) applyFailureLane(s *laneRun, node int) bool {
 	if s.md == modeSchedule {
 		switch lr.phases.PhaseOf(s.offset) {
 		case 1:
-			s.resumeOffset, s.resumeWork = 0, 0
+			s.resumeOffset = 0
 		case 2:
 			if lr.pr.IsTriple() {
-				s.resumeOffset, s.resumeWork = lr.phases.Ckpt1, lr.ckpt1Work
+				s.resumeOffset = lr.phases.Ckpt1
 			} else {
-				s.resumeOffset, s.resumeWork = 0, 0
+				s.resumeOffset = 0
 			}
 		default:
-			s.resumeOffset, s.resumeWork = s.offset, s.offsetWork
+			s.resumeOffset = s.offset
 		}
 	}
 
 	s.work = s.snapshotWork
-	reexec := s.periodStartWork + s.resumeWork - s.snapshotWork
+	reexec := s.periodStartWork + lr.scheduleWork(s.resumeOffset) - s.snapshotWork
 	if reexec < 0 {
 		reexec = 0
 	}
 	s.reexecRemaining = reexec
-	s.stallRemaining, s.overlapRemain = lr.stallTime, lr.overlapTime
+
+	s.stallRemaining = lr.p.D + lr.p.R
+	if lr.pr.BlocksOnFailure() {
+		s.stallRemaining += float64(lr.images) * lr.p.R
+		s.overlapRemain = 0
+	} else {
+		s.overlapRemain = float64(lr.images) * lr.theta
+	}
 	s.md = modeStall
 	return false
 }
